@@ -72,7 +72,7 @@ def _emit(args, text_lines, payload, csv_rows=None) -> None:
 
 def _cmd_expand(args) -> int:
     family = _family_from_args(args)
-    ring = Mod(args.mod) if args.mod else EXACT
+    ring = EXACT if args.mod is None else Mod(args.mod)
     series = genfun.build_series(family, args.order, ring)
     coeffs = series.tolist()
     payload = {

@@ -1,8 +1,10 @@
 """Named generating functions for the partition families, plus identity checks.
 
 Every family is an infinite product of binomial factors (1 +/- q^n)^e; the
-builders truncate the product at factor index n = order, which is exact
-because factor n only contributes from degree n on.
+binomial kernel truncates the product at factor index n = order, which is
+exact because factor n only contributes from degree n on.  The
+overpartition-type families are built faster as theta quotients; the kernel
+stays their independent reference.
 """
 
 from __future__ import annotations
@@ -146,8 +148,50 @@ def _family_factors(family: Family, order: int):
 
 
 def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
-    """Truncated generating function of the family over the given ring."""
+    """Truncated generating function of the family over the given ring.
+
+    The overpartition-type families are theta quotients and are built in
+    quasi-linear time (modular rings) or O(N^1.5) (exact ring):
+    over = 1/phi(-q), oddover = phi(q) * over(q^2) and
+    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  The other families
+    go through the binomial kernel.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if family.kind == "over":
+        return phi_series(-1, order, ring).inverse_of_unit()
+    if family.kind == "oddover":
+        over_q2 = build_series(Family.overpartitions(), order // 2, ring)
+        return phi_series(+1, order, ring).mul(over_q2.inflate(2, order))
+    if family.kind == "plk":
+        k = family.k
+        out = _over_power(k, order, ring)
+        for i in range(1, min(k, order + 1)):
+            out = out.mul_binomial_power(-1, i, k - i)
+            out = out.mul_binomial_power(+1, i, i - k)
+        return out
     return binomial_product(ring, order, _family_factors(family, order))
+
+
+def _over_power(k: int, order: int, ring: Ring) -> Series:
+    """over^k = phi(-q)^(-k); exact coefficients come from a sparse recurrence.
+
+    y = g^a satisfies g*y' = a*g'*y, so n*y_n = sum_j (a*j - (n-j))*g_j*y_(n-j)
+    over the O(sqrt N) nonzero g_j of g = phi(-q): O(N^1.5) in all.
+    """
+    if not ring.exact:
+        return build_series(Family.overpartitions(), order, ring).pow(k)
+    g = phi_series(-1, order).tolist()
+    terms = [(j, c) for j, c in enumerate(g) if j and c]
+    y = [1] + [0] * order
+    for n in range(1, order + 1):
+        acc = 0
+        for j, c in terms:
+            if j > n:
+                break
+            acc += (-k * j - n + j) * c * y[n - j]
+        y[n] = acc // n
+    return Series(EXACT, order, y)
 
 
 def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:
@@ -256,8 +300,11 @@ def check_phi_factorizations(order: int) -> list[IdentityReport]:
     Checks  P(q) = phi(q) * P(q^2)^2  and  P_odd(q) = phi(q) * P(q^2)
     up to the given order, where P is the overpartition series.
     """
-    over = build_series(Family.overpartitions(), order)
-    odd = build_series(Family.odd_overpartitions(), order)
+    # built by the binomial kernel: build_series itself uses these identities
+    over, odd = (
+        binomial_product(EXACT, order, _family_factors(family, order))
+        for family in (Family.overpartitions(), Family.odd_overpartitions())
+    )
     phi = phi_series(+1, order)
     over_q2 = over.inflate(2)
     return [

@@ -131,11 +131,11 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.order == other.order
-            and self.tolist() == other.tolist()
-        )
+        if self.ring != other.ring or self.order != other.order:
+            return False
+        if self.ring.exact:
+            return self._c == other._c
+        return bool(np.array_equal(self._c, other._c))
 
     __hash__ = None
 
@@ -147,10 +147,11 @@ class Series:
     def first_mismatch(self, other: "Series") -> int | None:
         """Smallest index where the two series differ, or None."""
         self._compat(other)
-        for i in range(self.order + 1):
-            if int(self._c[i]) != int(other._c[i]):
-                return i
-        return None
+        if self.ring.exact:
+            pairs = zip(self._c, other._c)
+            return next((i for i, (x, y) in enumerate(pairs) if x != y), None)
+        diff = np.flatnonzero(self._c != other._c)
+        return int(diff[0]) if diff.size else None
 
     def _compat(self, other: "Series") -> None:
         if self.ring != other.ring:
@@ -181,20 +182,15 @@ class Series:
         self._compat(other)
         n = self.order
         m = self.ring.modulus
-        if m is not None and (m - 1) * (m - 1) * (n + 1) < _I64_CAP:
-            out = np.convolve(self._c, other._c)[: n + 1] % m
-            return Series._wrap(self.ring, out)
-        a = self.tolist()
-        b = other.tolist()
+        if m is not None:
+            return Series._wrap(self.ring, _mul_mod(self._c, other._c, m, n + 1))
+        b = other._c
         out = [0] * (n + 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(self._c):
             if ai == 0:
                 continue
             for k in range(i, n + 1):
                 out[k] += ai * b[k - i]
-        if m is not None:
-            out = [c % m for c in out]
-            return Series._wrap(self.ring, np.array(out, dtype=np.int64))
         return Series._wrap(self.ring, tuple(out))
 
     __add__ = add
@@ -218,35 +214,43 @@ class Series:
     __pow__ = pow
 
     def inverse_of_unit(self) -> "Series":
-        """Multiplicative inverse; requires an invertible constant term."""
+        """Multiplicative inverse; requires an invertible constant term.
+
+        Modular rings use Newton doubling b <- b*(2 - a*b) on the FFT
+        product; the exact ring runs the recurrence over the nonzero
+        coefficients only, O(N^1.5) for a theta series.
+        """
         n = self.order
         m = self.ring.modulus
-        a = self.tolist()
-        u = a[0]
+        u = int(self._c[0])
         if m is None:
             if u not in (1, -1):
                 raise NonUnitConstantTerm(f"constant term {u} is not a unit in Z")
-            uinv = u
-        else:
-            try:
-                uinv = pow(u, -1, m)
-            except ValueError:
-                raise NonUnitConstantTerm(
-                    f"constant term {u} is not a unit mod {m}"
-                ) from None
-        b = [0] * (n + 1)
-        b[0] = uinv
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            b[k] = -uinv * acc
-            if m is not None:
-                b[k] %= m
-        if m is not None:
-            return Series._wrap(self.ring, np.array(b, dtype=np.int64))
-        return Series._wrap(self.ring, tuple(b))
+            terms = [(i, c) for i, c in enumerate(self._c) if i and c]
+            b = [u] + [0] * n
+            for k in range(1, n + 1):
+                acc = 0
+                for i, c in terms:
+                    if i > k:
+                        break
+                    acc += c * b[k - i]
+                b[k] = -u * acc
+            return Series._wrap(self.ring, tuple(b))
+        try:
+            uinv = pow(u, -1, m)
+        except ValueError:
+            raise NonUnitConstantTerm(
+                f"constant term {u} is not a unit mod {m}"
+            ) from None
+        b = np.array([uinv], dtype=np.int64)
+        p = 1
+        while p <= n:
+            # a*b = 1 + q^p * h; the next p coefficients of b are -(b*h)
+            p2 = min(2 * p, n + 1)
+            h = _mul_mod(self._c[:p2], b, m, p2)[p:]
+            b = np.concatenate((b, -_mul_mod(b, h, m, p2 - p) % m))
+            p = p2
+        return Series._wrap(self.ring, b)
 
     def mul_binomial_power(self, sign: int, n: int, e: int) -> "Series":
         """Multiply by (1 + sign*q^n)^e, computed by sparse stride passes.
@@ -268,10 +272,13 @@ class Series:
 
     def reduce_mod(self, m: int) -> "Series":
         """Ring homomorphism onto Z/m (the modulus chain must divide)."""
+        ring = Mod(m)
         cur = self.ring.modulus
-        if cur is not None and cur % m != 0:
+        if cur is None:
+            return Series(ring, self.order, self._c)
+        if cur % m != 0:
             raise ValueError(f"cannot reduce mod {m}: {m} does not divide {cur}")
-        return Series(Mod(m), self.order, self.tolist())
+        return Series._wrap(ring, self._c % m)
 
     def inflate(self, stride: int, order: int | None = None) -> "Series":
         """Substitute q -> q^stride, truncating at ``order`` (default: same)."""
@@ -282,10 +289,117 @@ class Series:
             raise ValueError(
                 f"need base order >= {order // stride}, have {self.order}"
             )
-        out = [0] * (order + 1)
-        for j in range(0, order + 1, stride):
-            out[j] = int(self._c[j // stride])
-        return Series(self.ring, order, out)
+        head = self._c[: order // stride + 1]
+        if self.ring.exact:
+            out = [0] * (order + 1)
+            out[::stride] = head
+            return Series._wrap(self.ring, tuple(out))
+        out = np.zeros(order + 1, dtype=np.int64)
+        out[::stride] = head
+        return Series._wrap(self.ring, out)
+
+
+# Products of modular series run through float64 FFTs on limbs of w bits.  A
+# product coefficient is at most k*len*(2^w - 1)^2 (k limb pairs meet at one
+# shift), and w is chosen to keep that below 2^_FFT_BITS, far enough below
+# 2^53 that rounding errors stay tiny; every product still checks them at run
+# time.  (The check needs that bound: above 2^53 every float is an integer.)
+# Shorter inputs, and products that fail the check, use exact int64
+# np.convolve on limbs narrow enough for int64.
+_FFT_BITS = 46
+_FFT_MIN_LEN = 256
+_FFT_ODD = (1, 3, 5, 9, 15, 25, 27, 45, 75, 81, 125)
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
+    """First n coefficients of a*b mod m, for reduced int64 coefficient arrays."""
+    square = b is a
+    a = a[:n]
+    b = a if square else b[:n]
+    out = np.zeros(n, dtype=np.int64)
+    shortest = min(len(a), len(b))
+    if shortest == 0:
+        return out
+    bits = (m - 1).bit_length()
+    if shortest >= _FFT_MIN_LEN:
+        w = _limb_width(bits, shortest, _FFT_BITS)
+        if _limb_product(out, a, b, m, w, fft=True):
+            return out
+        out[:] = 0
+    _limb_product(out, a, b, m, _limb_width(bits, shortest, 63), fft=False)
+    return out
+
+
+def _limb_width(bits: int, length: int, budget: int) -> int:
+    """Widest limb w with k*length*(2^w - 1)^2 < 2^budget, k = ceil(bits/w)."""
+    w = bits
+    while w > 1 and -(-bits // w) * length * ((1 << w) - 1) ** 2 >= 1 << budget:
+        w -= 1
+    return w
+
+
+def _limb_product(out, a, b, m, w, fft) -> bool:
+    """Accumulate a*b mod m into ``out`` from products of w-bit limbs.
+
+    With fft=True the limb products are float64 FFT convolutions; returns
+    False, leaving ``out`` partial, if any rounds with an error of 1/4 or more.
+    """
+    n = len(out)
+    k = max(1, -(-(m - 1).bit_length() // w))
+    la = _limbs(a, w, k)
+    lb = la if b is a else _limbs(b, w, k)
+    if fft:
+        from numpy.fft import irfft, rfft
+
+        size = _fft_size(len(a) + len(b) - 1)
+        la = [rfft(x, size) for x in la]
+        lb = la if b is a else [rfft(x, size) for x in lb]
+    # Horner over the limb shifts s = i + j, highest first
+    for s in range(2 * k - 2, -1, -1):
+        first, *rest = range(max(0, s - k + 1), min(s, k - 1) + 1)
+        if fft:
+            spectrum = la[first] * lb[s - first]
+            for i in rest:
+                spectrum += la[i] * lb[s - i]
+            x = irfft(spectrum, size)[:n]
+            del spectrum
+            c = np.rint(x)
+            x -= c
+            if np.abs(x, out=x).max() >= 0.25:
+                return False
+            c = c.astype(np.int64)
+        else:
+            c = np.convolve(la[first], lb[s - first])[:n]
+            for i in rest:
+                c += np.convolve(la[i], lb[s - i])[:n]
+        _shift_mod(out, w, m)
+        c %= m
+        out[: len(c)] += c
+        out %= m
+    return True
+
+
+def _limbs(x: np.ndarray, w: int, k: int) -> list:
+    """x split into k limbs of w bits, least significant first."""
+    if k == 1:
+        return [x]
+    mask = (1 << w) - 1
+    return [(x >> (w * i)) & mask for i in range(k)]
+
+
+def _shift_mod(x: np.ndarray, w: int, m: int) -> None:
+    """In place x <- x * 2^w mod m, in steps that stay inside int64."""
+    step = 63 - m.bit_length()
+    while w > 0 and x.any():
+        t = min(step, w)
+        np.left_shift(x, t, out=x)
+        x %= m
+        w -= t
+
+
+def _fft_size(n: int) -> int:
+    """A transform length >= n of the form odd * 2^p, with a small 3,5-smooth odd."""
+    return min(b << (-(-n // b) - 1).bit_length() for b in _FFT_ODD)
 
 
 def f_series(n: int, order: int, ring: Ring = EXACT) -> Series:

@@ -33,6 +33,15 @@ class TestExpand:
         assert code == 0
         assert out.split() == ["1", "2", "0", "0", "2"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--order", "-1"), ("--order", "4", "--mod", "0"), ("--order", "4", "--mod", "1")],
+    )
+    def test_bad_order_or_modulus_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "expand", "over", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_restricted(self, capsys):
         code, out, _ = run(
             capsys, "expand", "restricted", "--parts", "1,2,5,8", "--order", "5"

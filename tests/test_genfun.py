@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qcong import genfun
 from qcong.genfun import (
     Family,
     Multiset,
@@ -12,7 +15,7 @@ from qcong.genfun import (
     tail_product_series,
     two_adic_overpartition,
 )
-from qcong.series import EXACT, Mod, Series
+from qcong.series import EXACT, Mod, Series, binomial_product
 
 
 class TestMultiset:
@@ -109,6 +112,48 @@ class TestBuildSeries:
         assert build_series(Family.restricted([2, 3]), 10)[0] == 1
 
 
+def kernel_series(family, order, ring):
+    """The family through the binomial kernel, the independent reference."""
+    return binomial_product(ring, order, genfun._family_factors(family, order))
+
+
+THETA_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions()] + [
+    Family.k_rowed(k) for k in range(1, 14)
+]
+
+
+class TestThetaRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(THETA_FAMILIES),
+        order=st.integers(min_value=0, max_value=2000),
+        modulus=st.one_of(
+            st.none(),
+            st.sampled_from([2, 4, 8, 64, 2**40, 2**61 + 1]),
+            st.integers(min_value=2, max_value=2**40),
+        ),
+    )
+    @example(family=Family.k_rowed(13), order=2000, modulus=None)
+    @example(family=Family.overpartitions(), order=2000, modulus=2**61 + 1)
+    @example(family=Family.odd_overpartitions(), order=2000, modulus=2**40)
+    def test_matches_binomial_kernel(self, family, order, modulus):
+        ring = EXACT if modulus is None else Mod(modulus)
+        got = build_series(family, order, ring)
+        want = kernel_series(family, order, ring)
+        assert got == want, got.first_mismatch(want)
+
+    @pytest.mark.parametrize("ring", [EXACT, Mod(4), Mod(12), Mod(2**61 + 1)], ids=repr)
+    @pytest.mark.parametrize("family", THETA_FAMILIES, ids=str)
+    def test_every_family_against_kernel(self, family, ring):
+        for order in (0, 1, 2, 13, 300):
+            assert build_series(family, order, ring) == kernel_series(family, order, ring)
+
+    def test_negative_order_rejected(self):
+        for family in (Family.overpartitions(), Family.plane()):
+            with pytest.raises(ValueError):
+                build_series(family, -1)
+
+
 class TestPhi:
     def test_plus_prefix(self):
         assert phi_series(1, 9).tolist() == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
@@ -201,6 +246,14 @@ class TestTailProducts:
 class TestIdentityChecks:
     def test_phi_factorizations_pass(self):
         for report in check_phi_factorizations(200):
+            assert report.passed, report
+
+    def test_phi_factorizations_do_not_use_build_series(self, monkeypatch):
+        def broken(*args):
+            raise AssertionError("the identity check must not use build_series")
+
+        monkeypatch.setattr(genfun, "build_series", broken)
+        for report in check_phi_factorizations(60):
             assert report.passed, report
 
     def test_jacobi_specializations_pass(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong import series as series_module
 from qcong.series import (
     EXACT,
     Mod,
@@ -14,6 +15,26 @@ from qcong.series import (
 )
 
 MODULI = [2, 4, 8, 12, 64]
+
+# moduli up to the cap; 2**40 and above need more than one FFT limb
+WIDE_MODULI = st.one_of(
+    st.sampled_from([2, 9, 64, 2**31 - 1, 2**40, 2**61 + 1, 2**62 - 1]),
+    st.integers(min_value=2, max_value=2**62 - 1),
+)
+
+
+def random_coeffs(seed, m, length):
+    rng = np.random.default_rng(seed)
+    return [int(x) for x in rng.integers(0, m, length, dtype=np.int64)]
+
+
+def python_product(a, b, m):
+    """Truncated product of two coefficient lists mod m, in Python integers."""
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += ai * b[j]
+    return [c % m for c in out]
 
 
 def series_strategy(order_max=64, ring=EXACT, coeff_max=9):
@@ -139,6 +160,64 @@ class TestArithmetic:
             Series(Mod(4), 2, [2, 0, 0]).inverse_of_unit()
         inv = Series(Mod(9), 2, [2, 0, 0]).inverse_of_unit()
         assert inv[0] == 5  # 2*5 = 10 = 1 mod 9
+
+
+class TestModularProducts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(min_value=0, max_value=1200),
+        m=WIDE_MODULI,
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_mul_matches_python_product(self, order, m, seed):
+        ca = random_coeffs(seed, m, order + 1)
+        cb = random_coeffs(seed + 1, m, order + 1)
+        a, b = Series(Mod(m), order, ca), Series(Mod(m), order, cb)
+        assert a.mul(b).tolist() == python_product(ca, cb, m)
+        assert a.mul(a).tolist() == python_product(ca, ca, m)
+
+    @pytest.mark.parametrize("m", [2**40, 2**61 + 1])
+    def test_long_product_splits_limbs(self, m):
+        order = 999
+        assert series_module._limb_width(m.bit_length(), order + 1, 46) < m.bit_length()
+        ca, cb = random_coeffs(5, m, order + 1), random_coeffs(6, m, order + 1)
+        got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
+        assert got.tolist() == python_product(ca, cb, m)
+
+    def test_rounding_check_falls_back_to_convolve(self, monkeypatch):
+        m, order = 2**61 + 1, 600
+        ca, cb = random_coeffs(7, m, order + 1), random_coeffs(8, m, order + 1)
+        a, b = np.array(ca, dtype=np.int64), np.array(cb, dtype=np.int64)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + 0.3)
+        out = np.zeros(order + 1, dtype=np.int64)
+        assert not series_module._limb_product(out, a, b, m, 16, fft=True)
+        got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
+        assert got.tolist() == python_product(ca, cb, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(min_value=0, max_value=1500),
+        m=WIDE_MODULI,
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_newton_inverse(self, order, m, seed):
+        coeffs = random_coeffs(seed, m, order + 1)
+        coeffs[0] = 1
+        a = Series(Mod(m), order, coeffs)
+        inv = a.inverse_of_unit()
+        one = Series.one(Mod(m), order)
+        assert a.mul(inv) == one and inv.mul(a) == one
+
+    @pytest.mark.parametrize("m, unit", [(9, 2), (12, 5), (2**40 + 3, 7), (2**61 + 1, 5)])
+    def test_newton_inverse_non_prime_modulus(self, m, unit):
+        order = 700
+        coeffs = random_coeffs(m, m, order + 1)
+        coeffs[0] = unit
+        a = Series(Mod(m), order, coeffs)
+        inv = a.inverse_of_unit()
+        assert inv[0] == pow(unit, -1, m)
+        assert a.mul(inv) == Series.one(Mod(m), order)
 
 
 class TestBinomialKernel:
@@ -286,6 +365,25 @@ def test_binomial_product_overpartition_prefix():
             yield (-1, n, -1)
 
     assert binomial_product(EXACT, 4, factors()).tolist() == [1, 2, 4, 8, 14]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=paired_series(order_max=40, coeff_max=3),
+    modulus=st.sampled_from([None, 4, 12, 64]),
+    stride=st.integers(min_value=1, max_value=4),
+)
+def test_comparisons_and_maps_match_loops(data, modulus, stride):
+    order, ca, cb, _ = data
+    ring = EXACT if modulus is None else Mod(modulus)
+    a, b = Series(ring, order, ca), Series(ring, order, cb)
+    la, lb = a.tolist(), b.tolist()
+    mismatches = [i for i in range(order + 1) if la[i] != lb[i]]
+    assert (a == b) == (not mismatches)
+    assert a.first_mismatch(b) == (mismatches[0] if mismatches else None)
+    inflated = [la[j // stride] if j % stride == 0 else 0 for j in range(order + 1)]
+    assert a.inflate(stride, order).tolist() == inflated
+    assert a.reduce_mod(4).tolist() == [c % 4 for c in la]
 
 
 def test_inflate():
