@@ -18,7 +18,10 @@ from .congruence import (
     SeriesStore,
     SumClaim,
     builtin_suite,
+    claim_from_json,
+    reference_bound,
     verify,
+    verify_at_reference,
     verify_claim,
     verify_sum_claim,
 )
@@ -82,6 +85,7 @@ __all__ = [
     "builtin_suite",
     "check_jacobi_specializations",
     "check_phi_factorizations",
+    "claim_from_json",
     "cross_check",
     "ell_free_part",
     "empirical_density",
@@ -94,11 +98,13 @@ __all__ = [
     "persist_findings",
     "phi_product_approx",
     "phi_series",
+    "reference_bound",
     "scan_ap_congruences",
     "sum_of_squares_series",
     "tail_product_series",
     "two_adic_overpartition",
     "verify",
+    "verify_at_reference",
     "verify_claim",
     "verify_sum_claim",
 ]

@@ -10,22 +10,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import congruence, genfun, oracles, periodicity, scan
-from .genfun import Family
+from .genfun import FAMILY_KINDS, Family
 from .series import EXACT, Mod
-
-_FAMILY_ALIASES = {
-    "over": "over",
-    "overpartition": "over",
-    "oddover": "oddover",
-    "plane": "plane",
-    "plk": "plk",
-    "restricted": "restricted",
-    "ncolor": "ncolor",
-}
 
 
 def _parse_parts(text: str) -> list[int]:
@@ -36,9 +25,7 @@ def _parse_parts(text: str) -> list[int]:
 
 
 def _family_from_args(args) -> Family:
-    kind = _FAMILY_ALIASES.get(args.family)
-    if kind is None:
-        raise SystemExit(f"error: unknown family {args.family!r}")
+    kind = "over" if args.family == "overpartition" else args.family
     if kind == "plk":
         if args.k is None:
             raise SystemExit("error: plk family needs --k")
@@ -87,58 +74,22 @@ def _cmd_expand(args) -> int:
 
 
 def _select_claims(args):
-    suite = congruence.builtin_suite()
     if args.claim:
         raw = args.claim
         if raw.startswith("@"):
             with open(raw[1:], encoding="utf-8") as fh:
                 raw = fh.read()
-        return [_claim_from_json(json.loads(raw))]
+        return [congruence.claim_from_json(json.loads(raw))]
     if args.label:
-        chosen = [c for c in suite if any(c.label.startswith(p) for p in args.label)]
+        chosen = congruence.claims_by_label(args.label)
         if not chosen:
             raise SystemExit(f"error: no suite claim matches labels {args.label}")
         return chosen
+    suite = congruence.builtin_suite()
     if args.suite == "all":
         return suite
     modulus = int(args.suite.removeprefix("mod"))
     return [c for c in suite if c.modulus == modulus]
-
-
-def _claim_from_json(raw: dict):
-    family = Family.from_token(raw["family"])
-    ap = raw.get("ap", {})
-    kind_raw = raw.get("kind", {})
-    ktype = kind_raw.get("type", "constant")
-    if ktype == "constant":
-        kind = congruence.Constant(kind_raw["residue"])
-    elif ktype == "equivalent":
-        kind = congruence.Equivalent(Family.from_token(kind_raw["other"]))
-    elif ktype == "predicate":
-        kind = congruence.Predicate(kind_raw["id"])
-    elif ktype == "sum":
-        terms = tuple(
-            (Family.from_token(t["family"]), t["b"]) for t in kind_raw["terms"]
-        )
-        return congruence.SumClaim(
-            raw.get("label", "custom-sum"),
-            terms,
-            raw["modulus"],
-            ap.get("l", 1),
-            kind_raw["residue"],
-            ap.get("n_start", 0),
-        )
-    else:
-        raise SystemExit(f"error: unknown claim kind {ktype!r}")
-    return congruence.Claim(
-        raw.get("label", "custom"),
-        family,
-        raw["modulus"],
-        ap.get("l", 1),
-        ap.get("b", 0),
-        kind,
-        ap.get("n_start", 0),
-    )
 
 
 def _report_line(r: congruence.Report) -> str:
@@ -154,9 +105,11 @@ def _report_line(r: congruence.Report) -> str:
 
 def _cmd_verify(args) -> int:
     claims = _select_claims(args)
-    store = congruence.SeriesStore(args.bound)
-    jobs = args.jobs or int(os.environ.get("QC_JOBS", "1"))
-    reports = congruence.verify(claims, store, args.bound, jobs=jobs)
+    if args.bound is None:
+        reports = congruence.verify_at_reference(claims)
+    else:
+        store = congruence.SeriesStore(args.bound)
+        reports = congruence.verify(claims, store, args.bound)
     rows = [("label", "outcome", "members", "bound", "cx_n", "cx_arg", "cx_got",
              "cx_expected")]
     for r in reports:
@@ -247,7 +200,7 @@ def _cmd_density(args) -> int:
 
 
 def _add_family_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", help="over|oddover|plane|plk|restricted|ncolor")
+    p.add_argument("family", choices=(*FAMILY_KINDS, "overpartition"))
     p.add_argument("--k", type=int, help="row bound for the plk family")
     p.add_argument("--parts", help="comma-separated parts, e.g. 1,2,2,3,3")
 
@@ -286,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", action="append",
                    help="select suite claims by label prefix (repeatable)")
     p.add_argument("--claim", help="single claim as JSON (or @file)")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--jobs", type=int,
-                   help="parallel verification (default $QC_JOBS or 1)")
+    p.add_argument("--bound", type=int,
+                   help="check members up to this argument "
+                        "(default: each claim's reference bound)")
     _add_output_arguments(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -10,7 +10,6 @@ overpartitions modulo 4, 8, 12 and 64 under stable labels.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .genfun import Family, build_series
@@ -118,12 +117,20 @@ class Claim:
         if isinstance(self.kind, Predicate) and self.kind.name not in PREDICATES:
             raise ValueError(f"unknown predicate {self.kind.name!r}")
 
-    def kind_json(self) -> dict:
+    def to_json(self) -> dict:
         if isinstance(self.kind, Constant):
-            return {"type": "constant", "residue": self.kind.residue}
-        if isinstance(self.kind, Equivalent):
-            return {"type": "equivalent", "other": self.kind.other.token}
-        return {"type": "predicate", "id": self.kind.name}
+            kind = {"type": "constant", "residue": self.kind.residue}
+        elif isinstance(self.kind, Equivalent):
+            kind = {"type": "equivalent", "other": self.kind.other.token}
+        else:
+            kind = {"type": "predicate", "id": self.kind.name}
+        return {
+            "label": self.label,
+            "family": self.family.token,
+            "ap": {"l": self.l, "b": self.b, "n_start": self.n_start},
+            "modulus": self.modulus,
+            "kind": kind,
+        }
 
 
 @dataclass(frozen=True)
@@ -137,17 +144,44 @@ class SumClaim:
     residue: int
     n_start: int = 0
 
-    def kind_json(self) -> dict:
+    def __post_init__(self) -> None:
+        if self.modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        if self.l < 1:
+            raise ValueError("need l >= 1")
+        if self.n_start < 0:
+            raise ValueError("n_start must be >= 0")
+        if any(b < 0 for _, b in self.terms):
+            raise ValueError("term offsets must be >= 0")
+        if not 0 <= self.residue < self.modulus:
+            raise ValueError("constant residue must be reduced")
+
+    def to_json(self) -> dict:
         return {
-            "type": "sum",
-            "terms": [{"family": f.token, "b": b} for f, b in self.terms],
-            "residue": self.residue,
+            "label": self.label,
+            "family": [f.token for f, _ in self.terms],
+            "ap": {
+                "l": self.l,
+                "b": [b for _, b in self.terms],
+                "n_start": self.n_start,
+            },
+            "modulus": self.modulus,
+            "kind": {
+                "type": "sum",
+                "terms": [{"family": f.token, "b": b} for f, b in self.terms],
+                "residue": self.residue,
+            },
         }
 
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of checking one claim up to a bound."""
+    """Outcome of checking one claim up to a bound.
+
+    ``counterexample`` is (n, arg, got, expected) for the first failing
+    member.  For a Claim, arg = l*n + b; for a SumClaim, arg is the first
+    term's argument l*n + b_1 and got is the sum's residue.
+    """
 
     claim: Claim | SumClaim
     bound: int
@@ -161,21 +195,8 @@ class Report:
         return self.outcome == "pass"
 
     def to_json(self) -> dict:
-        c = self.claim
         out = {
-            "label": c.label,
-            "family": (
-                c.family.token
-                if isinstance(c, Claim)
-                else [f.token for f, _ in c.terms]
-            ),
-            "ap": {
-                "l": c.l,
-                "b": c.b if isinstance(c, Claim) else [b for _, b in c.terms],
-                "n_start": c.n_start,
-            },
-            "modulus": c.modulus,
-            "kind": c.kind_json(),
+            **self.claim.to_json(),
             "outcome": self.outcome,
             "members": self.members,
             "bound": self.bound,
@@ -188,12 +209,64 @@ class Report:
         return out
 
 
+_MISSING = object()
+_JSON_TYPES = {int: "an integer", str: "a string", dict: "an object", list: "a list"}
+
+
+def _field(obj, key: str, kind: type, path: str, default=_MISSING):
+    """obj[key] of the given JSON type, or ``default`` when it is absent."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"claim field {path} must be an object" if path
+                         else "a claim must be a JSON object")
+    value = obj.get(key, default)
+    name = f"{path}.{key}" if path else key
+    if value is _MISSING:
+        raise ValueError(f"claim field {name} is missing")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"claim field {name} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def claim_from_json(raw) -> Claim | SumClaim:
+    """Decode the claim fields of ``Report.to_json()`` (or hand-written ones).
+
+    ``label`` defaults to "custom" ("custom-sum"), ``ap.l`` to 1, ``ap.b``
+    and ``ap.n_start`` to 0, and ``kind.type`` to "constant".  A sum claim
+    takes its families and offsets from ``kind.terms``.  A missing or
+    ill-typed field raises ValueError naming the field.
+    """
+    ap = _field(raw, "ap", dict, "", {})
+    kind = _field(raw, "kind", dict, "", {})
+    ktype = _field(kind, "type", str, "kind", "constant")
+    modulus = _field(raw, "modulus", int, "")
+    l = _field(ap, "l", int, "ap", 1)
+    n_start = _field(ap, "n_start", int, "ap", 0)
+    if ktype == "sum":
+        terms = []
+        for i, term in enumerate(_field(kind, "terms", list, "kind")):
+            path = f"kind.terms[{i}]"
+            family = Family.from_token(_field(term, "family", str, path))
+            terms.append((family, _field(term, "b", int, path)))
+        return SumClaim(_field(raw, "label", str, "", "custom-sum"), tuple(terms),
+                        modulus, l, _field(kind, "residue", int, "kind"), n_start)
+    if ktype == "constant":
+        claim_kind = Constant(_field(kind, "residue", int, "kind"))
+    elif ktype == "equivalent":
+        claim_kind = Equivalent(Family.from_token(_field(kind, "other", str, "kind")))
+    elif ktype == "predicate":
+        claim_kind = Predicate(_field(kind, "id", str, "kind"))
+    else:
+        raise ValueError(f"unknown claim kind {ktype!r}")
+    return Claim(_field(raw, "label", str, "", "custom"),
+                 Family.from_token(_field(raw, "family", str, "")),
+                 modulus, l, _field(ap, "b", int, "ap", 0), claim_kind, n_start)
+
+
 class SeriesStore:
     """Builds each (family, modulus) series once at a fixed order.
 
     Claims share expensive series; verification functions consume the store
-    instead of constructing anything themselves.  Immutable Series values
-    make the cache safe to share across verification threads.
+    instead of constructing anything themselves.
     """
 
     def __init__(self, order: int):
@@ -274,37 +347,53 @@ def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
                 bound,
                 members,
                 "counterexample",
-                (n, claim.l * n, total % claim.modulus, claim.residue),
+                (n, claim.l * n + offsets[0], total % claim.modulus, claim.residue),
             )
         n += 1
     return Report(claim, bound, members, "pass")
 
 
-def verify(claims, store: SeriesStore, bound: int, jobs: int = 1) -> list[Report]:
-    """Verify many claims, reports returned in label order.
-
-    Series are built up front (sequentially, so the store cache stays cheap)
-    and the per-claim coefficient scans may run on a thread pool.
-    """
-    ordered = sorted(claims, key=lambda c: c.label)
-    for c in ordered:  # warm the cache deterministically
+def verify(claims, store: SeriesStore, bound: int) -> list[Report]:
+    """Verify many claims at one bound, reports returned in label order."""
+    reports = []
+    for c in sorted(claims, key=lambda c: c.label):
         if isinstance(c, SumClaim):
-            for f, _ in c.terms:
-                store.get(f, c.modulus)
+            reports.append(verify_sum_claim(c, store, bound))
         else:
-            store.get(c.family, c.modulus)
-            if isinstance(c.kind, Equivalent):
-                store.get(c.kind.other, c.modulus)
+            reports.append(verify_claim(c, store, bound))
+    return reports
 
-    def run(c):
-        if isinstance(c, SumClaim):
-            return verify_sum_claim(c, store, bound)
-        return verify_claim(c, store, bound)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, ordered))
-    return [run(c) for c in ordered]
+# Verification bound per modulus.  A bound is never below 2*l, so a row
+# whose first member exceeds the base (the 3465n rows) is not passed empty.
+BASE = {4: 2000, 8: 4620, 12: 4000, 64: 4000}
+
+
+def reference_bound(claim: Claim | SumClaim) -> int:
+    """The bound a claim is verified at when none is given."""
+    if claim.modulus not in BASE:
+        raise ValueError(
+            f"no reference bound for modulus {claim.modulus} "
+            f"(known: {', '.join(map(str, BASE))}); pass a bound"
+        )
+    return max(BASE[claim.modulus], 2 * claim.l)
+
+
+def verify_at_reference(claims) -> list[Report]:
+    """Verify each claim at its reference bound, reports in label order.
+
+    Claims sharing a bound share one SeriesStore sized to it; sizing a single
+    store to the largest bound would make the quadratic plane series cost
+    several times more.
+    """
+    groups: dict[int, list] = {}
+    for c in claims:
+        groups.setdefault(reference_bound(c), []).append(c)
+    reports = [
+        r for bound, group in groups.items()
+        for r in verify(group, SeriesStore(bound), bound)
+    ]
+    return sorted(reports, key=lambda r: r.claim.label)
 
 
 # -- the built-in suite ---------------------------------------------------------

@@ -116,11 +116,24 @@ class Family:
 
     @classmethod
     def from_token(cls, token: str) -> "Family":
+        """Inverse of ``token``; a malformed token raises ValueError."""
+        if not isinstance(token, str):
+            raise ValueError(f"family token must be a string, got {token!r}")
         if token.startswith("plk"):
-            return cls.k_rowed(int(token[3:]))
+            digits = token[3:]
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(
+                    f"family token {token!r}: plk needs a row count, e.g. plk4"
+                )
+            return cls.k_rowed(int(digits))
         if token.startswith("restricted:"):
-            parts = [int(p) for p in token.split(":", 1)[1].split(",")]
-            return cls.restricted(parts)
+            body = token.split(":", 1)[1]
+            if not all(p.isascii() and p.isdigit() for p in body.split(",")):
+                raise ValueError(
+                    f"family token {token!r}: restricted needs comma-separated "
+                    "parts, e.g. restricted:1,2,2"
+                )
+            return cls.restricted([int(p) for p in body.split(",")])
         return cls(token)
 
     def __str__(self) -> str:

@@ -62,15 +62,15 @@ class Finding:
         }
 
 
-def _scan_label(family: Family, modulus: int, l: int, b: int) -> str:
-    return f"scan-{family.token}-mod{modulus}-{l}n+{b}"
+def _scan_claim(family: Family, modulus: int, l: int, b: int, residue: int) -> Claim:
+    """The claim a finding states; progressions with b = 0 start at n = 1."""
+    return Claim(f"scan-{family.token}-mod{modulus}-{l}n+{b}", family, modulus,
+                 l, b, Constant(residue), n_start=1 if b == 0 else 0)
 
 
 def _finding(cfg: ScanConfig, l: int, b: int, residue: int, support: int,
              known: dict) -> Finding:
-    label = _scan_label(cfg.family, cfg.modulus, l, b)
-    claim = Claim(label, cfg.family, cfg.modulus, l, b, Constant(residue),
-                  n_start=1 if b == 0 else 0)
+    claim = _scan_claim(cfg.family, cfg.modulus, l, b, residue)
     status = "candidate"
     key = (cfg.family, cfg.modulus, l, b, residue)
     if key in known:
@@ -159,16 +159,8 @@ def load_findings(path) -> list[Finding]:
                 continue
             try:
                 raw = json.loads(line)
-                family = Family.from_token(raw["family"])
-                claim = Claim(
-                    _scan_label(family, raw["modulus"], raw["l"], raw["b"]),
-                    family,
-                    raw["modulus"],
-                    raw["l"],
-                    raw["b"],
-                    Constant(raw["c"]),
-                    n_start=1 if raw["b"] == 0 else 0,
-                )
+                claim = _scan_claim(Family.from_token(raw["family"]), raw["modulus"],
+                                    raw["l"], raw["b"], raw["c"])
                 finding = Finding(claim, raw["support"], raw["bound"], raw["status"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed finding on line {lineno}: {exc}") from exc

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from qcong.congruence import SeriesStore, builtin_suite, verify
+from qcong.congruence import SeriesStore, builtin_suite, reference_bound, verify
 from qcong.genfun import (
     Family,
     build_series,
@@ -109,16 +109,17 @@ def test_criterion_3_mod4_suite(store2000, store6930):
     t0 = time.time()
     suite = [c for c in builtin_suite() if c.label.startswith(MOD4_PREFIXES)]
     assert all(c.modulus == 4 for c in suite)
-    big = [c for c in suite if "3465" in c.label]
-    small = [c for c in suite if "3465" not in c.label]
+    big = [c for c in suite if reference_bound(c) == 6930]
+    small = [c for c in suite if reference_bound(c) == 2000]
+    assert len(big) + len(small) == len(suite)
 
-    reports = verify(small, store2000, 2000, jobs=2)
-    reports += verify(big, store6930, 6930, jobs=2)
+    reports = verify(small, store2000, 2000)
+    reports += verify(big, store6930, 6930)
     failures = [r.claim.label for r in reports if not r.passed]
 
     # the 6930 bound gives the 3465n row its minimum of two progression
     # members; every row's member count is noted in its report
-    members = {r.claim.label: r.members for r in reports if "3465" in r.claim.label}
+    members = {r.claim.label: r.members for r in reports if r.bound == 6930}
     detail = f"{len(reports)} claims; 3465-row members {members}"
     ok = not failures
     ok &= members["thm1.4-pl12-3465n-mod4"] >= 2
@@ -136,14 +137,16 @@ def test_criterion_4_mod8_suite(store4620):
                                "cor3.11", "cor3.12", "ext-over-9n+6"))
     ]
     assert len(mod8) == 17
-    reports = verify(mod8, store4620, 4620, jobs=2)
+    assert {reference_bound(c) for c in mod8} == {4620}
+    reports = verify(mod8, store4620, 4620)
     extras = [
         c
         for c in builtin_suite()
         if c.label in ("ext-over-8n+7-mod64", "ext-over-27n+18-mod12",
                        "ext-over-243n+162-mod12")
     ]
-    reports += verify(extras, store4620, 4000, jobs=2)
+    assert {reference_bound(c) for c in extras} == {4000}
+    reports += verify(extras, store4620, 4000)
     failures = [r.claim.label for r in reports if not r.passed]
     elapsed = _finish(
         "criterion 4: mod-8 suite", t0, not failures,

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcong.cli import main
+from qcong.congruence import PREDICATES
 
 
 def run(capsys, *argv):
@@ -130,12 +135,6 @@ class TestVerify:
         )
         assert proc.returncode == 1
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--label", "thm1.9", "--bound", "500", "--jobs", "3"
-        )
-        assert code == 0 and out.count("PASS") == 2
-
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys,
@@ -144,6 +143,110 @@ class TestVerify:
         data = json.loads(out)
         assert data[0]["outcome"] == "pass"
         assert data[0]["modulus"] == 8
+
+    def test_reference_bounds_without_bound_flag(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 95
+        assert all(line.startswith("PASS ") and "members=0" not in line
+                   for line in lines)
+        assert {line.split("bound=")[1] for line in lines} == {
+            "2000", "6930", "4620", "4000"}
+
+    def test_report_claim_fields_are_claim_input(self, capsys):
+        _, out, _ = run(capsys, "verify", "--label", "cor3.5", "--bound", "200",
+                        "--format", "json")
+        (report,) = json.loads(out)
+        code, out, _ = run(capsys, "verify", "--claim", json.dumps(report),
+                           "--bound", "200")
+        assert code == 0 and out.startswith("PASS cor3.5-pl4-sum-4n+123-mod4 ")
+
+    def test_sum_counterexample_names_first_term_argument(self, capsys):
+        claim = {"modulus": 4, "ap": {"l": 4},
+                 "kind": {"type": "sum", "residue": 0,
+                          "terms": [{"family": "plk4", "b": 1},
+                                    {"family": "plk4", "b": 2}]}}
+        code, out, _ = run(capsys, "verify", "--claim", json.dumps(claim),
+                           "--bound", "400")
+        assert code == 2
+        assert "FAIL custom-sum  counterexample n=1 arg=5 got=2 expected=0" in out
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            {"family": 5, "modulus": 4, "kind": {"residue": 0}},
+            {"family": "over", "modulus": 5, "kind": {"residue": 0}},  # no --bound
+            {"modulus": 4, "kind": {"type": "sum", "residue": 0,
+                                    "terms": [{"family": "over", "b": -1}]}},
+            {"modulus": 4, "kind": {"type": "sum", "residue": 9,
+                                    "terms": [{"family": "over", "b": 1}]}},
+            {"modulus": 4, "ap": [], "kind": {"residue": 0}},
+        ],
+    )
+    def test_malformed_claim_is_usage_error(self, capsys, claim):
+        code, out, err = run(capsys, "verify", "--claim", json.dumps(claim))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FAMILY_TOKENS = ["over", "oddover", "plane", "ncolor", "plk1", "plk4", "plk",
+                 "plk0", "plkx", "restricted:1,2,2", "restricted:", "restricted:0",
+                 "bogus"]
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70),
+    st.sampled_from([2**62, 2**64]), st.floats(allow_nan=False),
+    st.text(max_size=3), st.sampled_from(FAMILY_TOKENS),
+)
+_value = st.one_of(_leaf, st.lists(_leaf, max_size=2),
+                   st.dictionaries(st.text(max_size=2), _leaf, max_size=2))
+_small = st.integers(-2, 12)
+_PATHS = [("label",), ("family",), ("modulus",), ("ap",), ("ap", "l"),
+          ("ap", "b"), ("ap", "n_start"), ("kind",), ("kind", "type"),
+          ("kind", "residue"), ("kind", "other"), ("kind", "id"),
+          ("kind", "terms")]
+
+
+@st.composite
+def _claim_json(draw):
+    """Mostly well-formed claims, with a few fields dropped or retyped."""
+    term = st.fixed_dictionaries({"family": st.sampled_from(FAMILY_TOKENS),
+                                  "b": _small})
+    raw = {
+        "label": "fuzz",
+        "family": draw(st.sampled_from(FAMILY_TOKENS)),
+        "modulus": draw(st.sampled_from([0, 1, 2, 3, 4, 8, 12, 2**61, 2**62])),
+        "ap": {"l": draw(_small), "b": draw(_small), "n_start": draw(_small)},
+        "kind": {
+            "type": draw(st.sampled_from(
+                ["constant", "equivalent", "predicate", "sum", "bogus"])),
+            "residue": draw(_small),
+            "other": draw(st.sampled_from(FAMILY_TOKENS)),
+            "id": draw(st.sampled_from([*PREDICATES, "bogus"])),
+            "terms": draw(st.lists(term, max_size=3)),
+        },
+    }
+    for path in draw(st.lists(st.sampled_from(_PATHS), max_size=3)):
+        parent = raw if len(path) == 1 else raw.get(path[0])
+        if not isinstance(parent, dict):
+            continue
+        if draw(st.booleans()):
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = draw(_value)
+    return raw
+
+
+class TestClaimFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_claim_json())
+    def test_claim_json_never_crashes(self, raw):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--claim", json.dumps(raw), "--bound", "50"])
+        assert code in (0, 1, 2)
+        assert all(line.startswith("error: ")
+                   for line in err.getvalue().splitlines())
+        assert (code == 1) == bool(err.getvalue())
 
 
 class TestPeriod:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -11,11 +12,14 @@ from qcong.congruence import (
     SeriesStore,
     SumClaim,
     builtin_suite,
+    claim_from_json,
     claims_by_label,
     is_square,
     is_twice_square,
     odd_divisor_signature,
+    reference_bound,
     verify,
+    verify_at_reference,
     verify_claim,
     verify_sum_claim,
 )
@@ -146,6 +150,23 @@ class TestSumClaims:
         report = verify_sum_claim(claim, store, 600)
         assert report.passed and "vacuous" in report.note
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"l": 0},  # would loop forever: l*n + b never exceeds the bound
+            {"modulus": 1, "residue": 0},
+            {"n_start": -1},
+            {"terms": ((Family.plane(), -1),)},
+            {"residue": 9},
+            {"residue": -1},
+        ],
+    )
+    def test_validation(self, kwargs):
+        fields = {"terms": ((Family.plane(), 3),), "modulus": 4, "l": 4,
+                  "residue": 0, **kwargs}
+        with pytest.raises(ValueError):
+            SumClaim("bad", **fields)
+
 
 class TestBuiltinSuite:
     def test_size_and_unique_labels(self):
@@ -178,13 +199,144 @@ class TestBuiltinSuite:
             if c.modulus == 4
             and all(t not in c.label for t in ("3465", "315", "486", "243"))
         ]
-        reports = verify(claims, store, 700, jobs=2)
+        reports = verify(claims, store, 700)
         assert reports == sorted(reports, key=lambda r: r.claim.label)
         failures = [r.claim.label for r in reports if not r.passed]
         assert failures == []
 
-    def test_parallel_matches_serial(self, store):
-        claims = claims_by_label(["thm1.5", "thm1.9", "cor3.1"])
-        serial = verify(claims, store, 600, jobs=1)
-        parallel = verify(claims, store, 600, jobs=4)
-        assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+# Report.to_json() as written before Claim.to_json() took over the claim
+# fields: the JSON report shape that readers of `qcong verify` rely on.
+PINNED_REPORTS = [
+    ("cor3.1-pl-4n+3-mod4", 600, {
+        "label": "cor3.1-pl-4n+3-mod4", "family": "plane",
+        "ap": {"l": 4, "b": 3, "n_start": 0}, "modulus": 4,
+        "kind": {"type": "constant", "residue": 0},
+        "outcome": "pass", "members": 150, "bound": 600}),
+    ("thm1.9-pl5-12n+1-eq-over-mod8", 600, {
+        "label": "thm1.9-pl5-12n+1-eq-over-mod8", "family": "plk5",
+        "ap": {"l": 12, "b": 1, "n_start": 0}, "modulus": 8,
+        "kind": {"type": "equivalent", "other": "over"},
+        "outcome": "pass", "members": 50, "bound": 600}),
+    ("thm1.8-over-nonsquare-odd-mod8", 600, {
+        "label": "thm1.8-over-nonsquare-odd-mod8", "family": "over",
+        "ap": {"l": 2, "b": 1, "n_start": 0}, "modulus": 8,
+        "kind": {"type": "predicate", "id": "nonsquare-odd"},
+        "outcome": "pass", "members": 288, "bound": 600}),
+    ("thm1.4-pl12-3465n-mod4", 600, {
+        "label": "thm1.4-pl12-3465n-mod4", "family": "plk12",
+        "ap": {"l": 3465, "b": 0, "n_start": 1}, "modulus": 4,
+        "kind": {"type": "constant", "residue": 0},
+        "outcome": "pass", "members": 0, "bound": 600,
+        "note": "no progression members within bound"}),
+    ("cor3.5-pl4-sum-4n+123-mod4", 600, {
+        "label": "cor3.5-pl4-sum-4n+123-mod4", "family": ["plk4", "plk4", "plk4"],
+        "ap": {"l": 4, "b": [1, 2, 3], "n_start": 0}, "modulus": 4,
+        "kind": {"type": "sum", "terms": [{"family": "plk4", "b": 1},
+                                          {"family": "plk4", "b": 2},
+                                          {"family": "plk4", "b": 3}],
+                 "residue": 0},
+        "outcome": "pass", "members": 150, "bound": 600}),
+]
+
+
+class TestClaimCodec:
+    @pytest.mark.parametrize("label,bound,expected", PINNED_REPORTS,
+                             ids=[p[0] for p in PINNED_REPORTS])
+    def test_suite_report_json_is_pinned(self, store, label, bound, expected):
+        (claim,) = [c for c in builtin_suite() if c.label == label]
+        assert verify([claim], store, bound)[0].to_json() == expected
+
+    def test_counterexample_report_json_is_pinned(self, store):
+        claim = Claim("fab", Family.overpartitions(), 4, 2, 0, Constant(0), n_start=1)
+        assert verify_claim(claim, store, 500).to_json() == {
+            "label": "fab", "family": "over", "ap": {"l": 2, "b": 0, "n_start": 1},
+            "modulus": 4, "kind": {"type": "constant", "residue": 0},
+            "outcome": "counterexample", "members": 2, "bound": 500,
+            "counterexample": {"n": 2, "arg": 4, "got": 2, "expected": 0},
+        }
+
+    def test_custom_sum_report_json_is_pinned(self, store):
+        claim = SumClaim("sum-x", ((Family.plane(), 3), (Family.overpartitions(), 7)),
+                         modulus=4, l=4, residue=0, n_start=1)
+        assert verify_sum_claim(claim, store, 600).to_json() == {
+            "label": "sum-x", "family": ["plane", "over"],
+            "ap": {"l": 4, "b": [3, 7], "n_start": 1}, "modulus": 4,
+            "kind": {"type": "sum", "terms": [{"family": "plane", "b": 3},
+                                              {"family": "over", "b": 7}],
+                     "residue": 0},
+            "outcome": "pass", "members": 148, "bound": 600,
+        }
+
+    def test_round_trip_whole_suite(self):
+        suite = builtin_suite()
+        assert len(suite) == 95
+        for claim in suite:
+            assert claim_from_json(json.loads(json.dumps(claim.to_json()))) == claim
+
+    def test_defaults(self):
+        claim = claim_from_json({"family": "plane", "modulus": 4,
+                                 "kind": {"residue": 0}})
+        assert claim == Claim("custom", Family.plane(), 4, 1, 0, Constant(0))
+        total = claim_from_json({"modulus": 4, "kind": {"type": "sum", "terms": [],
+                                                        "residue": 0}})
+        assert total == SumClaim("custom-sum", (), 4, 1, 0)
+
+    @pytest.mark.parametrize(
+        "raw,field",
+        [
+            ({"family": "plane", "kind": {"residue": 0}}, "modulus"),
+            ({"family": "plane", "modulus": "4", "kind": {"residue": 0}}, "modulus"),
+            ({"family": "plane", "modulus": True, "kind": {"residue": 0}}, "modulus"),
+            ({"family": "plane", "modulus": 4, "kind": {}}, "kind.residue"),
+            ({"family": "plane", "modulus": 4, "kind": []}, "kind"),
+            ({"family": "plane", "modulus": 4, "ap": {"l": 2.0},
+              "kind": {"residue": 0}}, "ap.l"),
+            ({"family": 5, "modulus": 4, "kind": {"residue": 0}}, "family"),
+            ({"modulus": 4, "kind": {"residue": 0}}, "family"),
+            ({"family": "plane", "modulus": 4, "kind": {"type": "equivalent"}},
+             "kind.other"),
+            ({"modulus": 4, "kind": {"type": "sum", "residue": 0}}, "kind.terms"),
+            ({"modulus": 4, "kind": {"type": "sum", "residue": 0,
+                                     "terms": [{"family": "over"}]}},
+             "kind.terms[0].b"),
+            ({"modulus": 4, "kind": {"type": "sum", "residue": 0, "terms": [3]}},
+             "kind.terms[0]"),
+        ],
+    )
+    def test_bad_field_is_named(self, raw, field):
+        with pytest.raises(ValueError, match=re.escape(f"claim field {field} ")):
+            claim_from_json(raw)
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="a claim must be a JSON object"):
+            claim_from_json([])
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown claim kind"):
+            claim_from_json({"family": "over", "modulus": 4, "kind": {"type": "x"}})
+
+
+def _run_suite_bound(claim):
+    """The per-group bounds of the deleted catalog script, by label match."""
+    if claim.modulus == 4:
+        return 6930 if "3465" in claim.label else 2000
+    return {8: 4620, 12: 4000, 64: 4000}[claim.modulus]
+
+
+class TestReferenceBounds:
+    def test_matches_former_catalog_groups(self):
+        for claim in builtin_suite():
+            assert reference_bound(claim) == _run_suite_bound(claim), claim.label
+
+    def test_unknown_modulus(self):
+        claim = Claim("m5", Family.overpartitions(), 5, 1, 0, Constant(0))
+        with pytest.raises(ValueError, match="no reference bound"):
+            reference_bound(claim)
+
+    def test_whole_suite_passes_with_members(self):
+        reports = verify_at_reference(builtin_suite())
+        assert [r.claim.label for r in reports] == sorted(c.label for c in builtin_suite())
+        assert all(r.passed and r.members >= 1 for r in reports)
+        assert {r.bound for r in reports} == {2000, 6930, 4620, 4000}
+        assert sum(r.members for r in reports) == 31742

@@ -60,6 +60,24 @@ class TestFamily:
         with pytest.raises(ValueError):
             Family("nonsense")
 
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            (5, "must be a string"),
+            (None, "must be a string"),
+            ("plk", "plk needs a row count"),
+            ("plkx", "plk needs a row count"),
+            ("plk-3", "plk needs a row count"),
+            ("restricted:", "restricted needs comma-separated parts"),
+            ("restricted:1,,2", "restricted needs comma-separated parts"),
+            ("plk0", "k >= 1"),
+            ("restricted:0", ">= 1"),
+        ],
+    )
+    def test_from_token_rejects_malformed(self, token, message):
+        with pytest.raises(ValueError, match=message):
+            Family.from_token(token)
+
 
 class TestBuildSeries:
     def test_overpartition_prefix(self):
