@@ -1,7 +1,8 @@
 """Command-line front end: expand, verify, period, enumerate, scan, density.
 
 Exit codes: 0 success, 2 a mathematical counterexample was found, 1 usage or
-I/O error, so scripts can tell a falsified claim from a crash.
+I/O error (including a verify bound that reaches no member of a claim), so
+scripts can tell a falsified claim from a crash.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ def _report_line(r: congruence.Report) -> str:
     if r.passed:
         note = f"  ({r.note})" if r.note else ""
         return f"PASS {r.claim.label}  members={r.members} bound={r.bound}{note}"
+    if r.outcome == "vacuous":
+        return f"VACUOUS {r.claim.label}  members=0 bound={r.bound}"
     n, arg, got, want = r.counterexample
     return (
         f"FAIL {r.claim.label}  counterexample n={n} arg={arg} "
@@ -117,7 +120,15 @@ def _cmd_verify(args) -> int:
         rows.append((r.claim.label, r.outcome, r.members, r.bound, *cx))
     _emit(args, [_report_line(r) for r in reports],
           [r.to_json() for r in reports], rows)
-    return 0 if all(r.passed for r in reports) else 2
+    if any(r.outcome == "counterexample" for r in reports):
+        return 2
+    vacuous = sum(r.outcome == "vacuous" for r in reports)
+    if vacuous:
+        # a bound too small to reach any member is a usage error
+        print(f"error: {vacuous} claim(s) have no progression members within "
+              f"the bound", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_period(args) -> int:

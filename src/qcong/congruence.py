@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .genfun import Family, build_series
 from .series import EXACT, Mod, Series
 
@@ -55,19 +57,50 @@ def odd_divisor_signature(n: int) -> int:
     return count
 
 
-def _square_split(n: int) -> int:
-    return 2 if is_square(n) or is_twice_square(n) else 0
+def _square_table(top: int) -> np.ndarray:
+    """Boolean table t with t[k] = (k is a perfect square) for 0 <= k <= top."""
+    table = np.zeros(top + 1, dtype=bool)
+    table[np.arange(math.isqrt(top) + 1) ** 2] = True
+    return table
 
 
-def _nonsquare_odd(n: int) -> int | None:
-    return 0 if (n % 2 == 1 and not is_square(n)) else None
+def _top(args: np.ndarray) -> int:
+    return int(args.max()) if args.size else 0
 
 
-def _odd_divisor_formula(n: int) -> int:
-    return 2 * odd_divisor_signature(n)
+def _square_split(args: np.ndarray):
+    squares = _square_table(_top(args))
+    hit = squares[args] | ((args % 2 == 0) & squares[args // 2])
+    return 2 * hit.astype(np.int64), None
 
 
-# Each predicate maps an argument to the expected residue, or None to skip it.
+def _nonsquare_odd(args: np.ndarray):
+    keep = (args % 2 == 1) & ~_square_table(_top(args))[args]
+    return np.zeros(args.size, dtype=np.int64), keep
+
+
+def _odd_divisor_counts(args: np.ndarray) -> np.ndarray:
+    """Odd-divisor counts of arguments >= 1: divisor counts of their odd parts.
+
+    The sieve adds 2 to every odd multiple m >= k^2 of each odd k <= sqrt(top)
+    (the divisor pair k, m/k) and 1 at m = k^2.
+    """
+    odd = args // (args & -args)
+    counts = np.zeros(_top(odd) + 1, dtype=np.int64)
+    for k in range(1, math.isqrt(counts.size - 1) + 1, 2):
+        counts[k * k :: 2 * k] += 2
+        counts[k * k] -= 1
+    return counts[odd]
+
+
+def _odd_divisor_formula(args: np.ndarray):
+    return 2 * _odd_divisor_counts(args), None
+
+
+# Each predicate maps an int64 array of arguments >= 0 to (expected, keep):
+# the expected values before reduction, and a mask of the arguments it
+# applies to (None: all of them).  is_square, is_twice_square and
+# odd_divisor_signature are the scalar references.
 PREDICATES = {
     "square-or-twice-square": _square_split,
     "nonsquare-odd": _nonsquare_odd,
@@ -116,6 +149,12 @@ class Claim:
             raise ValueError("constant residue must be reduced")
         if isinstance(self.kind, Predicate) and self.kind.name not in PREDICATES:
             raise ValueError(f"unknown predicate {self.kind.name!r}")
+        first = self.l * self.n_start + self.b
+        if self.kind == Predicate("odd-divisor-formula") and first < 2:
+            raise ValueError(
+                f"predicate odd-divisor-formula needs arguments >= 2, but "
+                f"ap.n_start and ap.b give a first argument l*n_start + b = {first}"
+            )
 
     def to_json(self) -> dict:
         if isinstance(self.kind, Constant):
@@ -186,7 +225,7 @@ class Report:
     claim: Claim | SumClaim
     bound: int
     members: int
-    outcome: str  # "pass" | "counterexample"
+    outcome: str  # "pass" | "counterexample" | "vacuous" (no members)
     counterexample: tuple[int, int, int, int] | None = None  # n, arg, got, want
     note: str = ""
 
@@ -262,6 +301,10 @@ def claim_from_json(raw) -> Claim | SumClaim:
                  modulus, l, _field(ap, "b", int, "ap", 0), claim_kind, n_start)
 
 
+def _ring(modulus: int | None):
+    return EXACT if modulus is None else Mod(modulus)
+
+
 class SeriesStore:
     """Builds each (family, modulus) series once at a fixed order.
 
@@ -279,14 +322,17 @@ class SeriesStore:
         key = (family, modulus)
         got = self._cache.get(key)
         if got is None:
-            ring = EXACT if modulus is None else Mod(modulus)
-            got = build_series(family, self.order, ring)
+            got = build_series(family, self.order, _ring(modulus))
             self._cache[key] = got
         return got
 
     def put(self, family: Family, modulus: int | None, series: Series) -> None:
         if series.order != self.order:
             raise ValueError("series order does not match the store")
+        if series.ring != _ring(modulus):
+            raise ValueError(
+                f"series ring {series.ring!r} does not match modulus {modulus}"
+            )
         self._cache[(family, modulus)] = series
 
 
@@ -301,56 +347,59 @@ def verify_claim(claim: Claim, store: SeriesStore, bound: int) -> Report:
     """Check every progression member l*n + b <= bound with n >= n_start."""
     series = store.get(claim.family, claim.modulus)
     _require_order(series, bound)
-    other = None
-    if isinstance(claim.kind, Equivalent):
-        other = store.get(claim.kind.other, claim.modulus)
-        _require_order(other, bound)
-    predicate = PREDICATES[claim.kind.name] if isinstance(claim.kind, Predicate) else None
-
-    members = 0
     m = claim.modulus
-    for arg in range(claim.l * claim.n_start + claim.b, bound + 1, claim.l):
-        if isinstance(claim.kind, Constant):
-            want = claim.kind.residue
-        elif other is not None:
-            want = other[arg]
-        else:
-            raw = predicate(arg)
-            if raw is None:
-                continue
-            want = raw % m
-        members += 1
-        got = series[arg]
-        if got != want:
-            n = (arg - claim.b) // claim.l
-            return Report(claim, bound, members, "counterexample", (n, arg, got, want))
-    note = "no progression members within bound" if members == 0 else ""
-    return Report(claim, bound, members, "pass", note=note)
+    ap = slice(claim.l * claim.n_start + claim.b, bound + 1, claim.l)
+    got = series._c[ap]
+    args = np.arange(ap.start, ap.stop, ap.step, dtype=np.int64)
+    if isinstance(claim.kind, Constant):
+        want = np.full(got.size, claim.kind.residue, dtype=np.int64)
+    elif isinstance(claim.kind, Equivalent):
+        other = store.get(claim.kind.other, m)
+        _require_order(other, bound)
+        want = other._c[ap]
+    else:
+        want, keep = PREDICATES[claim.kind.name](args)
+        want %= m
+        if keep is not None:
+            args, got, want = args[keep], got[keep], want[keep]
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = int(bad[0])
+        arg = int(args[i])
+        n = (arg - claim.b) // claim.l
+        return Report(claim, bound, i + 1, "counterexample",
+                      (n, arg, int(got[i]), int(want[i])))
+    if got.size == 0:
+        return Report(claim, bound, 0, "vacuous",
+                      note="no progression members within bound")
+    return Report(claim, bound, got.size, "pass")
 
 
 def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
     """Check sum_i a_i(l*n + b_i) = residue (mod m) for all members <= bound."""
     if not claim.terms:
-        return Report(claim, bound, 0, "pass", note="vacuous: no terms")
+        return Report(claim, bound, 0, "vacuous", note="no terms")
     series = [store.get(f, claim.modulus) for f, _ in claim.terms]
     for s in series:
         _require_order(s, bound)
+    l, m, n0 = claim.l, claim.modulus, claim.n_start
     offsets = [b for _, b in claim.terms]
-    members = 0
-    n = claim.n_start
-    while claim.l * n + max(offsets) <= bound:
-        members += 1
-        total = sum(s[claim.l * n + b] for s, b in zip(series, offsets))
-        if total % claim.modulus != claim.residue:
-            return Report(
-                claim,
-                bound,
-                members,
-                "counterexample",
-                (n, claim.l * n + offsets[0], total % claim.modulus, claim.residue),
-            )
-        n += 1
-    return Report(claim, bound, members, "pass")
+    count = max(0, (bound - max(offsets)) // l - n0 + 1)
+    total = np.zeros(count, dtype=np.int64)
+    for s, b in zip(series, offsets):
+        start = l * n0 + b
+        # both summands are below m < 2^62, so the sum cannot overflow int64
+        total = (total + s._c[start : start + l * count : l]) % m
+    bad = np.flatnonzero(total != claim.residue)
+    if bad.size:
+        i = int(bad[0])
+        n = n0 + i
+        return Report(claim, bound, i + 1, "counterexample",
+                      (n, l * n + offsets[0], int(total[i]), claim.residue))
+    if count == 0:
+        return Report(claim, bound, 0, "vacuous",
+                      note="no progression members within bound")
+    return Report(claim, bound, count, "pass")
 
 
 def verify(claims, store: SeriesStore, bound: int) -> list[Report]:

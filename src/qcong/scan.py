@@ -13,6 +13,8 @@ import json
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .congruence import Claim, Constant, SeriesOrderTooSmall, builtin_suite
 from .genfun import Family, build_series
 from .series import Mod, Series
@@ -87,6 +89,15 @@ def _known_constant_claims() -> dict:
     return known
 
 
+# Rows of the (row, b) table read before a column's whole progression is.
+_PREFIX_ROWS = 8
+
+
+def _check_ring(series: Series, modulus: int) -> None:
+    if series.ring != Mod(modulus):
+        raise ValueError(f"series ring {series.ring!r} is not Z/{modulus}")
+
+
 def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[Finding]:
     """All unsubsumed constant-residue progressions of the configured family.
 
@@ -94,35 +105,52 @@ def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[F
     and at n = 0 otherwise.  A progression is reported only when it has at
     least min_support members below the bound, all with equal residue, and
     no coarser reported progression already implies it.
+
+    For each l the coefficients are read as a table with one row per n and
+    one column per b.  A column whose first rows already differ is dropped;
+    only the surviving columns are compared over their whole progression.
     """
     if series is None:
         series = build_series(cfg.family, cfg.bound, Mod(cfg.modulus))
+    _check_ring(series, cfg.modulus)
     if series.order < cfg.bound:
         raise SeriesOrderTooSmall(
             f"series order {series.order} < scan bound {cfg.bound}"
         )
+    bound = cfg.bound
+    arr = series._c[: bound + 1]
     known = _known_constant_claims()
     reported: set[tuple[int, int, int]] = set()
     findings: list[Finding] = []
     for l in range(1, cfg.l_max + 1):
-        for b in range(l):
-            start = l if b == 0 else b  # skip the constant term
-            members = range(start, cfg.bound + 1, l)
-            support = len(members)
-            if support < cfg.min_support:
+        # b = 1 has the most members; support only shrinks as l grows, and
+        # min_support >= 10 leaves at least 9 > _PREFIX_ROWS full rows here
+        if (bound - 1) // l + 1 < cfg.min_support:
+            break
+        head = arr[: _PREFIX_ROWS * l].reshape(_PREFIX_ROWS, l)
+        alive = (head[2:] == head[1]).all(axis=0)
+        alive[1:] &= head[0, 1:] == head[1, 1:]  # row 0 of b = 0 is a(0)
+        b = np.flatnonzero(alive)
+        if not b.size:
+            continue
+        support = (bound - np.where(b == 0, l, b)) // l + 1
+        keep = support >= cfg.min_support
+        b, support = b[keep], support[keep]
+        rows = (bound + 1) // l
+        table = arr[: rows * l].reshape(rows, l)[:, b]
+        residue = table[1]
+        same = (table[2:] == residue).all(axis=0)
+        same &= (table[0] == residue) | (b == 0)
+        tail = arr[rows * l :]  # the last, partial row
+        inside = b < tail.size
+        same[inside] &= tail[b[inside]] == residue[inside]
+        divisors = [d for d in range(1, l) if l % d == 0]
+        for col, res, sup in zip(b[same].tolist(), residue[same].tolist(),
+                                 support[same].tolist()):
+            if any((d, col % d, res) in reported for d in divisors):
                 continue
-            residue = series[members[0]]
-            if any(series[arg] != residue for arg in members):
-                continue
-            implied = any(
-                (d, b % d, residue) in reported
-                for d in range(1, l)
-                if l % d == 0
-            )
-            if implied:
-                continue
-            reported.add((l, b, residue))
-            findings.append(_finding(cfg, l, b, residue, support, known))
+            reported.add((l, col, res))
+            findings.append(_finding(cfg, l, col, res, sup, known))
     return findings
 
 
@@ -133,11 +161,12 @@ def empirical_density(family: Family, modulus: int, bound: int,
         raise ValueError("bound must be >= 1")
     if series is None:
         series = build_series(family, bound, Mod(modulus))
+    _check_ring(series, modulus)
     if series.order < bound:
         raise SeriesOrderTooSmall(
             f"series order {series.order} < density bound {bound}"
         )
-    zeros = sum(1 for n in range(1, bound + 1) if series[n] == 0)
+    zeros = int(np.count_nonzero(series._c[1 : bound + 1] == 0))
     return zeros / bound
 
 

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong import congruence
 from qcong.cli import main
 from qcong.congruence import PREDICATES
 
@@ -170,6 +172,50 @@ class TestVerify:
                            "--bound", "400")
         assert code == 2
         assert "FAIL custom-sum  counterexample n=1 arg=5 got=2 expected=0" in out
+
+    def test_zero_member_rows_are_vacuous_and_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--label", "thm1.4-pl12-3465n",
+                             "--bound", "2000")
+        lines = out.splitlines()
+        assert code == 1 and len(lines) == 6
+        assert all(re.fullmatch(r"VACUOUS thm1\.4-pl12-3465n\S*  members=0 bound=2000",
+                                line) for line in lines)
+        assert err == "error: 6 claim(s) have no progression members within the bound\n"
+
+    def test_vacuous_with_passes_exits_1(self, capsys):
+        code, out, _ = run(capsys, "verify", "--label", "thm1.4-pl12-3465n",
+                           "--label", "cor3.1-", "--bound", "2000",
+                           "--format", "json")
+        outcomes = {r["label"]: r["outcome"] for r in json.loads(out)}
+        assert code == 1 and outcomes.pop("cor3.1-pl-4n+3-mod4") == "pass"
+        assert set(outcomes.values()) == {"vacuous"}
+
+    def test_counterexample_wins_over_vacuous(self, capsys, monkeypatch):
+        far = {"label": "far", "family": "plane", "modulus": 4,
+               "ap": {"l": 500, "n_start": 1}, "kind": {"residue": 0}}
+        false = {"label": "false", "family": "over", "modulus": 4,
+                 "kind": {"residue": 0}}
+        reports = []
+        for claim in (far, false):
+            code, _, _ = run(capsys, "verify", "--claim", json.dumps(claim),
+                             "--bound", "100")
+            reports.append(congruence.verify([congruence.claim_from_json(claim)],
+                                             congruence.SeriesStore(100), 100)[0])
+            assert code == {"far": 1, "false": 2}[claim["label"]]
+        assert [r.outcome for r in reports] == ["vacuous", "counterexample"]
+        monkeypatch.setattr(congruence, "verify", lambda *args: reports)
+        code, out, err = run(capsys, "verify", "--label", "cor3.1", "--bound", "100")
+        assert code == 2 and err == ""
+        assert out.splitlines()[0] == "VACUOUS far  members=0 bound=100"
+
+    def test_odd_divisor_claim_below_two_is_usage_error(self, capsys):
+        claim = {"family": "plane", "modulus": 4,
+                 "kind": {"type": "predicate", "id": "odd-divisor-formula"}}
+        code, out, err = run(capsys, "verify", "--claim", json.dumps(claim),
+                             "--bound", "50")
+        assert code == 1 and out == ""
+        assert err.startswith("error: predicate odd-divisor-formula")
+        assert "ap.n_start" in err and "ap.b" in err
 
     @pytest.mark.parametrize(
         "claim",

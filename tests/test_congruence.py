@@ -1,9 +1,13 @@
 import json
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcong.congruence import (
+    PREDICATES,
     Claim,
     Constant,
     Equivalent,
@@ -24,11 +28,73 @@ from qcong.congruence import (
     verify_sum_claim,
 )
 from qcong.genfun import Family
+from qcong.series import EXACT, Mod, Series
 
 
 @pytest.fixture(scope="module")
 def store():
     return SeriesStore(700)
+
+
+# The per-argument predicates: expected residue before reduction, or None
+# to skip the argument.
+SCALAR_PREDICATES = {
+    "square-or-twice-square":
+        lambda n: 2 if is_square(n) or is_twice_square(n) else 0,
+    "nonsquare-odd": lambda n: 0 if n % 2 == 1 and not is_square(n) else None,
+    "odd-divisor-formula": lambda n: 2 * odd_divisor_signature(n),
+}
+
+
+def verify_reference(claim, series, other, bound):
+    """The per-coefficient verify loop: (members, outcome, counterexample)."""
+    members = 0
+    m = claim.modulus
+    for arg in range(claim.l * claim.n_start + claim.b, bound + 1, claim.l):
+        if isinstance(claim.kind, Constant):
+            want = claim.kind.residue
+        elif isinstance(claim.kind, Equivalent):
+            want = other[arg]
+        else:
+            raw = SCALAR_PREDICATES[claim.kind.name](arg)
+            if raw is None:
+                continue
+            want = raw % m
+        members += 1
+        got = series[arg]
+        if got != want:
+            n = (arg - claim.b) // claim.l
+            return members, "counterexample", (n, arg, got, want)
+    return members, "pass" if members else "vacuous", None
+
+
+def verify_sum_reference(claim, series, bound):
+    """The per-coefficient sum loop: (members, outcome, counterexample)."""
+    offsets = [b for _, b in claim.terms]
+    members = 0
+    n = claim.n_start
+    while claim.l * n + max(offsets) <= bound:
+        members += 1
+        total = sum(s[claim.l * n + b] for s, b in zip(series, offsets))
+        if total % claim.modulus != claim.residue:
+            return members, "counterexample", (
+                n, claim.l * n + offsets[0], total % claim.modulus, claim.residue)
+        n += 1
+    return members, "pass" if members else "vacuous", None
+
+
+def _outcome(report):
+    return report.members, report.outcome, report.counterexample
+
+
+@st.composite
+def _near_series(draw, m, order, expected):
+    """``expected(i)`` for every index, with a few values changed."""
+    coeffs = [expected(i) % m for i in range(order + 1)]
+    for i, v in draw(st.lists(st.tuples(st.integers(0, order),
+                                        st.integers(0, m - 1)), max_size=3)):
+        coeffs[i] = v
+    return Series(Mod(m), order, coeffs)
 
 
 class TestPredicateHelpers:
@@ -53,6 +119,16 @@ class TestPredicateHelpers:
             brute = sum(1 for d in range(1, n + 1) if n % d == 0 and d % 2 == 1)
             assert odd_divisor_signature(n) == brute
 
+    @pytest.mark.parametrize("name", sorted(PREDICATES))
+    def test_vector_predicates_match_scalar(self, name):
+        first = 2 if name == "odd-divisor-formula" else 0
+        args = np.arange(first, 10**5 + 1, dtype=np.int64)
+        want, keep = PREDICATES[name](args)
+        scalar = [SCALAR_PREDICATES[name](int(n)) for n in args]
+        mask = [v is not None for v in scalar]
+        assert (keep if keep is not None else np.ones(args.size, bool)).tolist() == mask
+        assert want[np.array(mask)].tolist() == [v for v in scalar if v is not None]
+
     def test_parity_matches_square_split(self):
         # odd many odd divisors exactly when n is a square or twice a square
         for n in range(2, 2001):
@@ -72,6 +148,18 @@ class TestClaimModel:
         with pytest.raises(ValueError):
             Claim("bad", fam, 4, 1, 0, Predicate("missing"))
 
+    @pytest.mark.parametrize("l,b,n_start", [(1, 0, 0), (2, 1, 0), (1, 0, 1),
+                                             (5, 1, 0), (7, 0, 0)])
+    def test_odd_divisor_formula_needs_arguments_from_two(self, l, b, n_start):
+        with pytest.raises(ValueError, match="odd-divisor-formula") as err:
+            Claim("od", Family.plane(), 4, l, b, Predicate("odd-divisor-formula"),
+                  n_start=n_start)
+        assert "ap.n_start" in str(err.value) and "ap.b" in str(err.value)
+
+    def test_odd_divisor_formula_from_two_is_accepted(self):
+        Claim("od", Family.plane(), 4, 1, 0, Predicate("odd-divisor-formula"), n_start=2)
+        Claim("od", Family.plane(), 4, 3, 2, Predicate("odd-divisor-formula"))
+
     def test_report_json(self, store):
         claim = Claim("thm-x", Family.plane(), 4, 4, 3, Constant(0))
         report = verify_claim(claim, store, 500)
@@ -80,6 +168,36 @@ class TestClaimModel:
         assert data["ap"] == {"l": 4, "b": 3, "n_start": 0}
         assert data["outcome"] == "pass"
         json.dumps(data)  # serializable
+
+
+class TestSeriesStore:
+    def test_put_rejects_another_ring(self):
+        series = Series(Mod(16), 50, [3] * 51)
+        store = SeriesStore(50)
+        with pytest.raises(ValueError, match="Z/16"):
+            store.put(Family.overpartitions(), 8, series)
+        with pytest.raises(ValueError):
+            store.put(Family.overpartitions(), None, series)
+        store.put(Family.overpartitions(), 16, series)
+        assert store.get(Family.overpartitions(), 16) is series
+
+    def test_put_exact_under_none(self):
+        series = Series(EXACT, 5, [1, 2, 3, 4, 5, 6])
+        store = SeriesStore(5)
+        with pytest.raises(ValueError):
+            store.put(Family.plane(), 4, series)
+        store.put(Family.plane(), None, series)
+        assert store.get(Family.plane()) is series
+
+    def test_put_with_mismatched_ring_cannot_fake_a_counterexample(self):
+        # at the parent a mod-16 series under key 8 failed this true claim
+        (claim,) = claims_by_label(["cor3.11-over-4n+3-mod8"])
+        store = SeriesStore(500)
+        over16 = SeriesStore(500).get(Family.overpartitions(), 16)
+        with pytest.raises(ValueError):
+            store.put(Family.overpartitions(), 8, over16)
+        store.put(Family.overpartitions(), 8, over16.reduce_mod(8))
+        assert verify_claim(claim, store, 500).passed
 
 
 class TestVerifyClaim:
@@ -120,8 +238,88 @@ class TestVerifyClaim:
             "far", Family.plane(), 4, 650, 0, Constant(0), n_start=1
         )
         report = verify_claim(claim, store, 600)
-        assert report.passed and report.members == 0
+        assert report.outcome == "vacuous" and report.members == 0
+        assert not report.passed
         assert "no progression members" in report.note
+
+
+class TestVerifyMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_claims_of_every_kind(self, data):
+        m = data.draw(st.integers(2, 64), label="m")
+        order = data.draw(st.integers(0, 400), label="order")
+        l = data.draw(st.integers(1, 60), label="l")
+        b = data.draw(st.integers(0, l - 1), label="b")
+        n_start = data.draw(st.integers(0, 4), label="n_start")
+        kind = data.draw(st.sampled_from(["constant", "equivalent", *PREDICATES]))
+        other_family = Family.overpartitions()
+        other = data.draw(_near_series(m, order, lambda i: i * i + 3))
+        if kind == "constant":
+            residue = data.draw(st.integers(0, m - 1), label="residue")
+            claim_kind, expected = Constant(residue), lambda i: residue
+        elif kind == "equivalent":
+            claim_kind, expected = Equivalent(other_family), other.coeff
+        else:
+            if kind == "odd-divisor-formula" and l * n_start + b < 2:
+                n_start = 2
+            claim_kind = Predicate(kind)
+            rule = SCALAR_PREDICATES[kind]
+
+            def expected(i):
+                if kind == "odd-divisor-formula" and i < 2:
+                    return 0
+                want = rule(i)
+                return i if want is None else want  # anything where skipped
+        series = data.draw(_near_series(m, order, expected))
+        claim = Claim("x", Family.plane(), m, l, b, claim_kind, n_start=n_start)
+        store = SeriesStore(order)
+        store.put(Family.plane(), m, series)
+        store.put(other_family, m, other)
+        bound = data.draw(st.integers(0, order), label="bound")
+        report = verify_claim(claim, store, bound)
+        assert _outcome(report) == verify_reference(claim, series, other, bound)
+        assert report.passed == (report.outcome == "pass")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sums_with_unequal_offsets(self, data):
+        m = data.draw(st.integers(2, 64), label="m")
+        order = data.draw(st.integers(0, 300), label="order")
+        l = data.draw(st.integers(1, 30), label="l")
+        families = [Family.plane(), Family.overpartitions(), Family.k_rowed(4)]
+        store = SeriesStore(order)
+        for family in families:
+            store.put(family, m, data.draw(_near_series(m, order, lambda i: i % 3)))
+        terms = data.draw(st.lists(
+            st.tuples(st.sampled_from(families), st.integers(0, 3 * l)),
+            min_size=1, max_size=4), label="terms")
+        residue = data.draw(st.integers(0, m - 1), label="residue")
+        n_start = data.draw(st.integers(0, 3), label="n_start")
+        claim = SumClaim("s", tuple(terms), m, l, residue, n_start)
+        bound = data.draw(st.integers(0, order), label="bound")
+        series = [store.get(f, m) for f, _ in terms]
+        report = verify_sum_claim(claim, store, bound)
+        assert _outcome(report) == verify_sum_reference(claim, series, bound)
+
+    def test_sum_residues_near_the_modulus_do_not_overflow(self):
+        m = 2**62 - 1
+        store = SeriesStore(20)
+        store.put(Family.plane(), m, Series(Mod(m), 20, [m - 1] * 21))
+        claim = SumClaim("big", ((Family.plane(), 0),) * 4, m, 1, m - 4)
+        report = verify_sum_claim(claim, store, 20)
+        assert report.passed and report.members == 21
+
+    def test_counterexample_counts_only_kept_arguments(self):
+        # nonsquare-odd skips the even arguments and the odd squares
+        coeffs = [0] * 201
+        coeffs[50] = coeffs[81] = coeffs[99] = 5  # 50 is even, 81 = 9^2
+        store = SeriesStore(200)
+        store.put(Family.overpartitions(), 8, Series(Mod(8), 200, coeffs))
+        claim = Claim("ns", Family.overpartitions(), 8, 1, 0, Predicate("nonsquare-odd"))
+        report = verify_claim(claim, store, 200)
+        assert report.counterexample == (99, 99, 5, 0)
+        assert report.members == len([n for n in range(1, 100, 2) if not is_square(n)])
 
 
 class TestSumClaims:
@@ -148,7 +346,8 @@ class TestSumClaims:
     def test_empty_sum_is_vacuous(self, store):
         claim = SumClaim("nothing", (), modulus=4, l=4, residue=0)
         report = verify_sum_claim(claim, store, 600)
-        assert report.passed and "vacuous" in report.note
+        assert report.outcome == "vacuous" and not report.passed
+        assert report.members == 0 and report.note == "no terms"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -227,7 +426,7 @@ PINNED_REPORTS = [
         "label": "thm1.4-pl12-3465n-mod4", "family": "plk12",
         "ap": {"l": 3465, "b": 0, "n_start": 1}, "modulus": 4,
         "kind": {"type": "constant", "residue": 0},
-        "outcome": "pass", "members": 0, "bound": 600,
+        "outcome": "vacuous", "members": 0, "bound": 600,
         "note": "no progression members within bound"}),
     ("cor3.5-pl4-sum-4n+123-mod4", 600, {
         "label": "cor3.5-pl4-sum-4n+123-mod4", "family": ["plk4", "plk4", "plk4"],

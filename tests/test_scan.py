@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcong.congruence import Claim, Constant, builtin_suite
 from qcong.genfun import Family
@@ -12,8 +14,65 @@ from qcong.scan import (
     persist_findings,
     scan_ap_congruences,
 )
-from qcong.series import Mod
+from qcong.series import Mod, Series
 from qcong.genfun import build_series
+
+
+def scan_reference(cfg, series):
+    """The per-coefficient scan loop: (l, b, residue, support) per finding."""
+    reported = set()
+    found = []
+    for l in range(1, cfg.l_max + 1):
+        for b in range(l):
+            start = l if b == 0 else b  # skip the constant term
+            members = range(start, cfg.bound + 1, l)
+            support = len(members)
+            if support < cfg.min_support:
+                continue
+            residue = series[members[0]]
+            if any(series[arg] != residue for arg in members):
+                continue
+            implied = any(
+                (d, b % d, residue) in reported
+                for d in range(1, l)
+                if l % d == 0
+            )
+            if implied:
+                continue
+            reported.add((l, b, residue))
+            found.append((l, b, residue, support))
+    return found
+
+
+def density_reference(series, bound):
+    return sum(1 for n in range(1, bound + 1) if series[n] == 0) / bound
+
+
+def scanned(cfg, series):
+    return [(f.claim.l, f.claim.b, f.claim.kind.residue, f.support)
+            for f in scan_ap_congruences(cfg, series=series)]
+
+
+@st.composite
+def _patterned_series(draw, moduli):
+    """A periodic series with a free constant term and a few changed values.
+
+    Few distinct values and short periods make many progressions constant,
+    so the scan has findings to prune; the changed values may sit anywhere,
+    including far beyond the first rows of the (row, b) table.
+    """
+    m = draw(st.sampled_from(moduli))
+    bound = draw(st.integers(1, 200))
+    order = bound + draw(st.integers(0, 3))
+    period = draw(st.integers(1, 16))
+    values = st.integers(0, min(m - 1, draw(st.integers(0, 3))))
+    pattern = draw(st.lists(values, min_size=period, max_size=period))
+    coeffs = [pattern[i % period] for i in range(order + 1)]
+    coeffs[0] = draw(st.integers(0, m - 1))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, order),
+                                        st.integers(0, m - 1)), max_size=3)):
+        coeffs[i] = v
+    return Series(Mod(m), order, coeffs), bound
 
 
 class TestScanConfig:
@@ -95,7 +154,68 @@ class TestScan:
             scan_ap_congruences(cfg, series=series)
 
 
+class TestScanMatchesLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(_patterned_series([2, 4, 8, 16, 32, 64]), st.data())
+    def test_random_series(self, drawn, data):
+        series, bound = drawn
+        m = series.ring.modulus
+        l_max = data.draw(st.integers(1, 3 * bound), label="l_max")
+        min_support = data.draw(
+            st.integers(10, max(10, bound // 2 + 2)), label="min_support")
+        cfg = ScanConfig(Family.k_rowed(4), m, l_max, bound, min_support)
+        assert scanned(cfg, series) == scan_reference(cfg, series)
+
+    def test_b0_column_differs_only_at_constant_term(self):
+        series = Series(Mod(2), 300, [1] + [0] * 300)
+        cfg = ScanConfig(Family.plane(), 2, 5, 300)
+        assert scanned(cfg, series) == scan_reference(cfg, series) == [(1, 0, 0, 300)]
+
+    @pytest.mark.parametrize("where", [40, 151, 299, 300])
+    def test_change_beyond_the_first_rows(self, where):
+        coeffs = [0] * 301
+        coeffs[where] = 1
+        series = Series(Mod(2), 300, coeffs)
+        cfg = ScanConfig(Family.plane(), 2, 12, 300)
+        found = scanned(cfg, series)
+        assert found == scan_reference(cfg, series)
+        assert all((where - b) % l for l, b, _, _ in found)
+
+    @pytest.mark.parametrize("min_support", [19, 20, 21])
+    def test_min_support_edge(self, min_support):
+        # columns of l = 10 have exactly 20 members up to 200
+        series = Series(Mod(4), 200, [(i % 10) % 3 for i in range(201)])
+        cfg = ScanConfig(Family.plane(), 4, 30, 200, min_support)
+        found = scanned(cfg, series)
+        assert found == scan_reference(cfg, series)
+        assert any(l == 10 for l, *_ in found) == (min_support <= 20)
+
+    def test_series_in_another_ring_is_rejected(self):
+        series = build_series(Family.overpartitions(), 400, Mod(16))
+        cfg = ScanConfig(Family.overpartitions(), 8, 8, 400)
+        with pytest.raises(ValueError, match="Z/16"):
+            scan_ap_congruences(cfg, series=series)
+
+
 class TestDensity:
+    @settings(max_examples=100, deadline=None)
+    @given(_patterned_series(list(range(2, 65))), st.data())
+    def test_matches_loop(self, drawn, data):
+        series, top = drawn
+        bound = data.draw(st.integers(1, top))
+        family = Family.overpartitions()
+        got = empirical_density(family, series.ring.modulus, bound, series=series)
+        assert got == density_reference(series, bound)
+
+    def test_series_in_another_ring_is_rejected(self):
+        # reading a mod-16 series as mod 4 would give 0.7205, not 0.978
+        series = build_series(Family.overpartitions(), 2000, Mod(16))
+        with pytest.raises(ValueError, match="Z/16"):
+            empirical_density(Family.overpartitions(), 4, 2000, series=series)
+        reduced = series.reduce_mod(4)
+        value = empirical_density(Family.overpartitions(), 4, 2000, series=reduced)
+        assert round(value, 3) == 0.978
+
     def test_everything_even(self):
         assert empirical_density(Family.overpartitions(), 2, 3000) == 1.0
 
