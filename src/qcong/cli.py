@@ -148,6 +148,8 @@ def _cmd_period(args) -> int:
 def _cmd_enumerate(args) -> int:
     family = _family_from_args(args)
     n = args.n
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
     max_rows = args.max_rows if args.max_rows else (args.k if family.kind == "plk" else None)
     diagrams: list[str] = []
     if family.kind in ("plane", "plk"):
@@ -306,6 +308,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, oracles.BudgetExceeded,
             congruence.SeriesOrderTooSmall, periodicity.InsufficientOrder) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller --order, --bound or --n",
+              file=sys.stderr)
         return 1
 
 

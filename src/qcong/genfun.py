@@ -3,8 +3,9 @@
 Every family is an infinite product of binomial factors (1 +/- q^n)^e; the
 binomial kernel truncates the product at factor index n = order, which is
 exact because factor n only contributes from degree n on.  The
-overpartition-type families are built faster as theta quotients; the kernel
-stays their independent reference.
+overpartition-type families are built faster as theta quotients, and the
+plane family modulo small powers of two by residue-class recurrences; the
+kernel stays their independent reference.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .series import EXACT, Mod, Ring, Series, binomial_product
+
+import numpy as np
 
 FAMILY_KINDS = ("over", "oddover", "plane", "plk", "restricted", "ncolor")
 
@@ -166,8 +169,9 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     The overpartition-type families are theta quotients and are built in
     quasi-linear time (modular rings) or O(N^1.5) (exact ring):
     over = 1/phi(-q), oddover = phi(q) * over(q^2) and
-    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  The other families
-    go through the binomial kernel.
+    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  plane and ncolor
+    over Z/2^r take the residue-class route when ``_class_route`` allows it.
+    The other families go through the binomial kernel.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -183,7 +187,115 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
             out = out.mul_binomial_power(-1, i, k - i)
             out = out.mul_binomial_power(+1, i, i - k)
         return out
+    if family.kind in ("plane", "ncolor") and _class_route(order, ring):
+        return _plane_by_classes(order, ring, ring.modulus // 2)
     return binomial_product(ring, order, _family_factors(family, order))
+
+
+def _class_route(order: int, ring: Ring) -> bool:
+    """Whether the plane series over ``ring`` is built by residue classes.
+
+    Over Z/2^r with M = 2^(r-1) the class route does O(N^1.5 * sqrt(M))
+    word operations and O(M) series products; the kernel costs O(N^2 log N)
+    whatever M is.  Up to M = isqrt(N) the class route measured 1.2x (tiny
+    N) to over 100x faster, so it is taken there; larger M, moduli with an
+    odd factor and the exact ring stay on the kernel.
+    """
+    m = ring.modulus
+    if m is None or m & (m - 1):
+        return False
+    half = m // 2
+    return half * half <= order or half == 1
+
+
+def _plane_by_classes(order: int, ring: Ring, half: int) -> Series:
+    """A series congruent to the plane series modulo 2*half, over ``ring``.
+
+    With R(x) = (1+x)/(1-x), plane = prod_n R(q^n)^n splits into odd and
+    even n as  plane(q) = prod_{n odd} R(q^n)^n * plane(q^2)^2.  Since
+    R(x)^half = 1 (mod 2*half), the odd part is prod_{j odd} C_j^j over the
+    classes C_j = prod_{n = j (mod half)} R(q^n), and plane(q^2) is needed
+    only modulo half: if A = A' (mod 2^s) with s >= 1 then A^2 = A'^2
+    (mod 2^(s+1)).  Modulo 2 the series is 1.
+    """
+    if half == 1:
+        return Series.one(ring, order)
+    m = ring.modulus
+    out = run = None
+    # Horner over j = half-1 .. 1: C_j enters ``run`` once and ``out`` j times
+    for j in range(half - 1, 0, -1):
+        if j % 2:
+            c = Series(ring, order, _class_product(j, half, order, m))
+            run = c if run is None else run.mul(c)
+        out = run if out is None else out.mul(run)
+    if half > 2:
+        low = _plane_by_classes(order // 2, ring, half // 2).inflate(2, order)
+        out = out.mul(low.mul(low))
+    return out
+
+
+def _wrap_words(m: int):
+    """The narrowest unsigned dtype whose wrapping sums are exact modulo m.
+
+    Sums of w-bit words are exact modulo 2^w, so modulo every m dividing
+    2^w; the class passes then need neither reductions nor headroom.  Any
+    other modulus raises.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if (1 << (8 * np.dtype(dtype).itemsize)) % m == 0:
+            return dtype
+    raise ValueError(f"no machine word wraps exactly modulo {m}")
+
+
+def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
+    """prod_{n = j (mod step), n >= 1} (1+q^n)/(1-q^n) mod m, as int64 residues.
+
+    Parts up to S = isqrt(order * step) are applied one at a time: divide
+    by (1-q^n) with one cumulative sum down the rows of the (rows, n)
+    reshape, then multiply by (1+q^n).  The parts a, a+step, ... above S
+    come from the recurrence on the number of parts k: partitions into k
+    parts of the progression satisfy D_k = q^a * D_(k-1) / (1-q^(step*k)),
+    and into k distinct parts the shift is a + step*(k-1).  Started from
+    D_0 = P, the product of the small parts, sum_k D_k is P times the
+    partitions into large parts; the distinct pass starts from that sum, so
+    no series product is needed.  Each D_k is kept divided by its lowest
+    power of q, and only its terms up to the order are computed.
+    Cost O(order * S / step + order^2 / S) word operations.
+    """
+    n1 = order + 1
+    dtype = _wrap_words(m)
+    # room for the padding of every reshape: rows * stride < 2 * n1
+    buf = np.zeros(2 * n1, dtype=dtype)
+    buf[0] = 1
+    small = math.isqrt(order * step)
+    a = j
+    while a <= min(small, order):
+        _divide_one_minus(buf, n1, a)
+        np.add(buf[a:n1], buf[: n1 - a], out=buf[a:n1])
+        a += step
+    for distinct in (False, True):
+        total = buf[:n1].copy()
+        offset, k = a, 1
+        while offset <= order:
+            _divide_one_minus(buf, n1 - offset, step * k)
+            total[offset:] += buf[: n1 - offset]
+            offset += a + step * k if distinct else a
+            k += 1
+        buf[:n1] = total
+    return buf[:n1].astype(np.int64)
+
+
+def _divide_one_minus(buf: np.ndarray, length: int, stride: int) -> None:
+    """Divide buf[:length] by (1 - q^stride) in place.
+
+    The quotient is a running sum down each residue lane mod stride: one
+    cumulative sum down the rows of a (rows, stride) view.  The view pads
+    ``length`` up to whole rows; the padding only feeds later padding.
+    """
+    rows = -(-length // stride)
+    if rows > 1:
+        view = buf[: rows * stride].reshape(rows, stride)
+        np.cumsum(view, axis=0, dtype=buf.dtype, out=view)
 
 
 def _over_power(k: int, order: int, ring: Ring) -> Series:

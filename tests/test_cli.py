@@ -356,6 +356,34 @@ class TestEnumerate:
         )
         assert code == 1 and "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("plane",), ("plk", "--k", "2"), ("over",), ("oddover",), ("ncolor",),
+         ("restricted", "--parts", "1,2")],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_size_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv, "--n", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --n must be >= 0, got -1\n"
+
+    def test_size_zero_counts_the_empty_object(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "plane", "--n", "0")
+        assert code == 0 and out.strip() == "1"
+
+
+class TestMemoryError:
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        from qcong import genfun
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(genfun, "build_series", exhausted)
+        code, out, err = run(capsys, "expand", "over", "--order", "100000000000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
 
 class TestScanAndDensity:
     def test_scan_text(self, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,92 @@ class TestThetaRoute:
         for family in (Family.overpartitions(), Family.plane()):
             with pytest.raises(ValueError):
                 build_series(family, -1)
+
+
+PLANE_FAMILIES = [Family.plane(), Family.ncolor()]
+
+
+class TestClassRoute:
+    """plane/ncolor over Z/2^r by residue classes, against the kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(PLANE_FAMILIES),
+        bits=st.integers(min_value=1, max_value=8),
+        order=st.integers(min_value=0, max_value=1500),
+    )
+    @example(family=Family.plane(), bits=2, order=1500)
+    @example(family=Family.plane(), bits=3, order=1500)
+    @example(family=Family.ncolor(), bits=6, order=1024)
+    @example(family=Family.plane(), bits=6, order=1023)
+    @example(family=Family.plane(), bits=4, order=63)
+    @example(family=Family.plane(), bits=4, order=64)
+    def test_matches_binomial_kernel(self, family, bits, order):
+        ring = Mod(2**bits)
+        got = build_series(family, order, ring)
+        want = kernel_series(family, order, ring)
+        assert got == want, got.first_mismatch(want)
+
+    @pytest.mark.parametrize(
+        "modulus,order,route",
+        [
+            (2, 0, True), (2, 5, True),
+            (4, 3, False), (4, 4, True),
+            (8, 15, False), (8, 16, True),
+            (256, 16383, False), (256, 16384, True),
+            (12, 10**6, False), (2**40, 10**6, False), (None, 10**6, False),
+        ],
+    )
+    def test_route_rule(self, modulus, order, route):
+        ring = EXACT if modulus is None else Mod(modulus)
+        assert genfun._class_route(order, ring) is route
+
+    @pytest.mark.parametrize("ring", [EXACT, Mod(12), Mod(2**40), Mod(2**61 + 1)], ids=repr)
+    @pytest.mark.parametrize("family", PLANE_FAMILIES, ids=str)
+    def test_kernel_rings_unchanged(self, family, ring):
+        for order in (0, 1, 2, 13, 200):
+            assert build_series(family, order, ring) == kernel_series(family, order, ring)
+
+    def test_independent_of_theta_builders_and_kernel(self, monkeypatch):
+        # thm1.2-pl-eq-oddover-mod4 and cor3.2-pl-2n+1-eq-over-mod4 compare
+        # plane with oddover and over: both sides must be built apart
+        build = genfun.build_series
+
+        def only_plane(family, order, ring=EXACT):
+            if family.kind != "plane":
+                raise AssertionError(f"plane must not build {family}")
+            return build(family, order, ring)
+
+        def broken(*args, **kwargs):
+            raise AssertionError("plane mod 2^r must not use this builder")
+
+        monkeypatch.setattr(genfun, "build_series", only_plane)
+        for name in ("phi_series", "_over_power", "binomial_product"):
+            monkeypatch.setattr(genfun, name, broken)
+        got = {m: only_plane(Family.plane(), 2000, Mod(m)) for m in (4, 8)}
+        monkeypatch.undo()
+        for m, series in got.items():
+            assert series == kernel_series(Family.plane(), 2000, Mod(m))
+
+    def test_words_wrap_exactly_or_raise(self):
+        assert genfun._wrap_words(2) is np.uint8
+        assert genfun._wrap_words(2**8) is np.uint8
+        assert genfun._wrap_words(2**9) is np.uint16
+        assert genfun._wrap_words(2**33) is np.uint64
+        for m in (12, 3, 2**61 + 1):
+            with pytest.raises(ValueError, match="wraps exactly"):
+                genfun._wrap_words(m)
+        with pytest.raises(ValueError, match="wraps exactly"):
+            genfun._class_product(1, 2, 50, 12)
+
+    def test_wrapped_class_product_is_exact(self):
+        # the true coefficients overflow every word many times over
+        order = 1200
+        factors = [(s, n, s) for n in range(3, order + 1, 4) for s in (+1, -1)]
+        for m in (2**8, 2**16, 2**32):
+            want = binomial_product(Mod(m), order, factors)
+            got = Series(Mod(m), order, genfun._class_product(3, 4, order, m))
+            assert got == want, got.first_mismatch(want)
 
 
 class TestPhi:
