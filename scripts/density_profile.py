@@ -26,14 +26,21 @@ def main() -> int:
     parser.add_argument("--bound", type=int, default=10**4)
     args = parser.parse_args()
 
-    if args.family == "plk":
-        family = Family.k_rowed(args.k)
-    else:
-        family = Family.from_token(args.family)
-
-    top = 2 ** max(args.bits)
-    t0 = time.time()
-    series = build_series(family, args.bound, Mod(top))
+    try:
+        if min(args.bits) < 1:
+            raise ValueError(f"--bits must be >= 1, got {min(args.bits)}")
+        if args.bound < 1:
+            raise ValueError(f"--bound must be >= 1, got {args.bound}")
+        if args.family == "plk":
+            family = Family.k_rowed(args.k)
+        else:
+            family = Family.from_token(args.family)
+        top = 2 ** max(args.bits)
+        t0 = time.time()
+        series = build_series(family, args.bound, Mod(top))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"built {family} mod {top} to order {args.bound} in {time.time()-t0:.1f}s")
     for bits in sorted(args.bits):
         value = empirical_density(

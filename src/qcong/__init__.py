@@ -6,105 +6,90 @@ brute-force enumeration, verifies a catalog of arithmetic-progression
 congruences modulo powers of two (and 12), computes minimum periods of
 restricted-partition series via Kwong's closed form, and scans for new
 congruence candidates.
+
+The public names below are resolved on first access (PEP 562), so
+``import qcong`` loads no submodule and a command pays only for the modules
+it uses.
 """
 
-from .congruence import (
-    Claim,
-    Constant,
-    Equivalent,
-    Predicate,
-    Report,
-    SeriesOrderTooSmall,
-    SeriesStore,
-    SumClaim,
-    builtin_suite,
-    claim_from_json,
-    reference_bound,
-    verify,
-    verify_at_reference,
-    verify_claim,
-    verify_sum_claim,
-)
-from .genfun import (
-    Family,
-    Multiset,
-    build_series,
-    check_jacobi_specializations,
-    check_phi_factorizations,
-    phi_product_approx,
-    phi_series,
-    sum_of_squares_series,
-    tail_product_series,
-    two_adic_overpartition,
-)
-from .periodicity import (
-    InsufficientOrder,
-    PeriodReport,
-    b_value,
-    cross_check,
-    ell_free_part,
-    empirical_period,
-    kwong_period,
-    m_value,
-    ord_prime,
-)
-from .scan import (
-    Finding,
-    ScanConfig,
-    empirical_density,
-    load_findings,
-    persist_findings,
-    scan_ap_congruences,
-)
-from .series import EXACT, Mod, NonUnitConstantTerm, Ring, Series, f_series
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Claim",
-    "Constant",
-    "EXACT",
-    "Equivalent",
-    "Family",
-    "Finding",
-    "InsufficientOrder",
-    "Mod",
-    "Multiset",
-    "NonUnitConstantTerm",
-    "PeriodReport",
-    "Predicate",
-    "Report",
-    "Ring",
-    "ScanConfig",
-    "Series",
-    "SeriesOrderTooSmall",
-    "SeriesStore",
-    "SumClaim",
-    "b_value",
-    "build_series",
-    "builtin_suite",
-    "check_jacobi_specializations",
-    "check_phi_factorizations",
-    "claim_from_json",
-    "cross_check",
-    "ell_free_part",
-    "empirical_density",
-    "empirical_period",
-    "f_series",
-    "kwong_period",
-    "load_findings",
-    "m_value",
-    "ord_prime",
-    "persist_findings",
-    "phi_product_approx",
-    "phi_series",
-    "reference_bound",
-    "scan_ap_congruences",
-    "sum_of_squares_series",
-    "tail_product_series",
-    "two_adic_overpartition",
-    "verify",
-    "verify_at_reference",
-    "verify_claim",
-    "verify_sum_claim",
-]
+_EXPORTS = {
+    "congruence": (
+        "Claim",
+        "Constant",
+        "Equivalent",
+        "Predicate",
+        "Report",
+        "SeriesOrderTooSmall",
+        "SeriesStore",
+        "SumClaim",
+        "builtin_suite",
+        "claim_from_json",
+        "reference_bound",
+        "verify",
+        "verify_at_reference",
+        "verify_claim",
+        "verify_sum_claim",
+    ),
+    "genfun": (
+        "Family",
+        "Multiset",
+        "build_series",
+        "check_jacobi_specializations",
+        "check_phi_factorizations",
+        "phi_product_approx",
+        "phi_series",
+        "sum_of_squares_series",
+        "tail_product_series",
+        "two_adic_overpartition",
+    ),
+    "periodicity": (
+        "InsufficientOrder",
+        "PeriodReport",
+        "b_value",
+        "cross_check",
+        "ell_free_part",
+        "empirical_period",
+        "kwong_period",
+        "m_value",
+        "ord_prime",
+    ),
+    "scan": (
+        "Finding",
+        "ScanConfig",
+        "empirical_density",
+        "load_findings",
+        "persist_findings",
+        "scan_ap_congruences",
+    ),
+    "series": (
+        "EXACT",
+        "Mod",
+        "NonUnitConstantTerm",
+        "Ring",
+        "Series",
+        "f_series",
+    ),
+}
+_SUBMODULES = ("cli", "congruence", "genfun", "oracles", "periodicity", "scan",
+               "series")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -4,18 +4,20 @@ Every family is an infinite product of binomial factors (1 +/- q^n)^e; the
 binomial kernel truncates the product at factor index n = order, which is
 exact because factor n only contributes from degree n on.  The
 overpartition-type families are built faster as theta quotients, and the
-plane family modulo small powers of two by residue-class recurrences; the
-kernel stays their independent reference.
+plane family modulo small powers of two by residue-class recurrences and
+over Z from its logarithmic derivative; the kernel stays their independent
+reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .series import EXACT, Mod, Ring, Series, binomial_product
+from .series import EXACT, Mod, Ring, Series, binomial_product, lazy_import
 
-import numpy as np
+np = lazy_import("numpy")
 
 FAMILY_KINDS = ("over", "oddover", "plane", "plk", "restricted", "ncolor")
 
@@ -170,8 +172,9 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     quasi-linear time (modular rings) or O(N^1.5) (exact ring):
     over = 1/phi(-q), oddover = phi(q) * over(q^2) and
     plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  plane and ncolor
-    over Z/2^r take the residue-class route when ``_class_route`` allows it.
-    The other families go through the binomial kernel.
+    over Z/2^r take the residue-class route when ``_class_route`` allows it,
+    and over Z the recurrence of ``_plane_exact``.  The other families go
+    through the binomial kernel.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -187,9 +190,29 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
             out = out.mul_binomial_power(-1, i, k - i)
             out = out.mul_binomial_power(+1, i, i - k)
         return out
-    if family.kind in ("plane", "ncolor") and _class_route(order, ring):
-        return _plane_by_classes(order, ring, ring.modulus // 2)
+    if family.kind in ("plane", "ncolor"):
+        if ring.exact:
+            return _plane_exact(order)
+        if _class_route(order, ring):
+            return _plane_by_classes(order, ring, ring.modulus // 2)
     return binomial_product(ring, order, _family_factors(family, order))
+
+
+def _plane_exact(order: int) -> Series:
+    """The plane series over Z from its logarithmic derivative.
+
+    q*d/dq log prod_n ((1+q^n)/(1-q^n))^n = sum_k c_k q^k with
+    c_k = 2 * sum_{d | k, k/d odd} d^2, so n*a_n = sum_{k=1..n} c_k*a_(n-k):
+    O(N^2) big-integer products in C-level loops, and no binomial passes.
+    """
+    c = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for k in range(d, order + 1, 2 * d):
+            c[k] += 2 * d * d
+    a = [1] + [0] * order
+    for n in range(1, order + 1):
+        a[n] = sum(map(operator.mul, c[1 : n + 1], reversed(a[:n]))) // n
+    return Series(EXACT, order, a)
 
 
 def _class_route(order: int, ring: Ring) -> bool:

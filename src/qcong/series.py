@@ -12,10 +12,32 @@ silently aligning precision.
 
 from __future__ import annotations
 
+import importlib.util
 import operator
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+
+def lazy_import(name: str):
+    """Module ``name``, executed on its first attribute access, not here.
+
+    Exact-ring work never touches numpy, so a process that needs no
+    modular series does not pay for importing it.  A module already in
+    ``sys.modules`` (loaded or lazy) is returned as it is.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+np = lazy_import("numpy")
 
 # Residues live in [0, m).  Adding two of them must stay inside int64, so the
 # modulus is capped one bit below the type; scaled passes additionally need
@@ -100,7 +122,7 @@ class Series:
         s = object.__new__(cls)
         object.__setattr__(s, "ring", ring)
         object.__setattr__(s, "order", len(storage) - 1)
-        if isinstance(storage, np.ndarray):
+        if not ring.exact:
             storage.flags.writeable = False
         object.__setattr__(s, "_c", storage)
         return s

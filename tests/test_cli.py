@@ -371,6 +371,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "plane", "--n", "0")
         assert code == 0 and out.strip() == "1"
 
+    @pytest.mark.parametrize("rows", ["0", "-1"])
+    def test_max_rows_below_one_is_usage_error(self, capsys, rows):
+        code, out, err = run(
+            capsys, "enumerate", "plane", "--n", "3", "--max-rows", rows
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --max-rows must be >= 1, got {rows}\n"
+
 
 class TestMemoryError:
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):

@@ -259,6 +259,29 @@ class TestClassRoute:
             assert got == want, got.first_mismatch(want)
 
 
+class TestExactPlane:
+    """plane/ncolor over Z by the logarithmic-derivative recurrence."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(PLANE_FAMILIES),
+        order=st.integers(min_value=0, max_value=400),
+    )
+    @example(family=Family.plane(), order=400)
+    @example(family=Family.ncolor(), order=0)
+    def test_matches_binomial_kernel(self, family, order):
+        got = build_series(family, order)
+        want = kernel_series(family, order, EXACT)
+        assert got == want, got.first_mismatch(want)
+
+    def test_does_not_use_the_kernel(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("exact plane must not use the kernel")
+
+        monkeypatch.setattr(genfun, "binomial_product", broken)
+        assert build_series(Family.plane(), 5).tolist() == [1, 2, 6, 16, 38, 88]
+
+
 class TestPhi:
     def test_plus_prefix(self):
         assert phi_series(1, 9).tolist() == [1, 2, 0, 0, 2, 0, 0, 0, 0, 2]
