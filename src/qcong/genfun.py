@@ -171,7 +171,11 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     The overpartition-type families are theta quotients and are built in
     quasi-linear time (modular rings) or O(N^1.5) (exact ring):
     over = 1/phi(-q), oddover = phi(q) * over(q^2) and
-    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  plane and ncolor
+    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  Over Z/2^r every
+    exponent of that plk product is reduced by ``_balanced`` modulo
+    M = 2^(r-1), since R(x)^M = 1 (mod 2M) for R(x) = (1+x)/(1-x) and
+    plk = prod_n R(q^n)^min(k, n); a negative power of over is a power of
+    phi(-q), so no residue of k needs an inverse modulo 4.  plane and ncolor
     over Z/2^r take the residue-class route when ``_class_route`` allows it,
     and over Z the recurrence of ``_plane_exact``.  The other families go
     through the binomial kernel.
@@ -185,16 +189,19 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         return phi_series(+1, order, ring).mul(over_q2.inflate(2, order))
     if family.kind == "plk":
         k = family.k
-        out = _over_power(k, order, ring)
+        half = _two_power_half(ring)
+        out = _over_power(_balanced(k, half), order, ring)
         for i in range(1, min(k, order + 1)):
-            out = out.mul_binomial_power(-1, i, k - i)
-            out = out.mul_binomial_power(+1, i, i - k)
+            e = _balanced(k - i, half)
+            if e:
+                out = out.mul_binomial_power(-1, i, e)
+                out = out.mul_binomial_power(+1, i, -e)
         return out
     if family.kind in ("plane", "ncolor"):
         if ring.exact:
             return _plane_exact(order)
         if _class_route(order, ring):
-            return _plane_by_classes(order, ring, ring.modulus // 2)
+            return _plane_by_classes(order, ring, _two_power_half(ring))
     return binomial_product(ring, order, _family_factors(family, order))
 
 
@@ -215,6 +222,30 @@ def _plane_exact(order: int) -> Series:
     return Series(EXACT, order, a)
 
 
+def _two_power_half(ring: Ring) -> int | None:
+    """M = 2^(r-1) when ``ring`` is Z/2^r, else None.
+
+    R(x) = (1+x)/(1-x) = 1 + 2x/(1-x), so R(x)^M = 1 (mod 2M): over Z/2^r
+    an exponent of R(q^n) matters only modulo M.  The exact ring and
+    moduli with an odd factor have no such period.
+    """
+    m = ring.modulus
+    if m is None or m & (m - 1):
+        return None
+    return m // 2
+
+
+def _balanced(e: int, half: int | None) -> int:
+    """e reduced modulo ``half`` into [-half/2, half/2); e itself for None.
+
+    The residue of least absolute value, ties going negative, so |result|
+    <= |e| and a negative power of over becomes a power of phi(-q).
+    """
+    if half is None:
+        return e
+    return (e + half // 2) % half - half // 2
+
+
 def _class_route(order: int, ring: Ring) -> bool:
     """Whether the plane series over ``ring`` is built by residue classes.
 
@@ -224,10 +255,9 @@ def _class_route(order: int, ring: Ring) -> bool:
     N) to over 100x faster, so it is taken there; larger M, moduli with an
     odd factor and the exact ring stay on the kernel.
     """
-    m = ring.modulus
-    if m is None or m & (m - 1):
+    half = _two_power_half(ring)
+    if half is None:
         return False
-    half = m // 2
     return half * half <= order or half == 1
 
 
@@ -322,13 +352,18 @@ def _divide_one_minus(buf: np.ndarray, length: int, stride: int) -> None:
 
 
 def _over_power(k: int, order: int, ring: Ring) -> Series:
-    """over^k = phi(-q)^(-k); exact coefficients come from a sparse recurrence.
+    """over^k = phi(-q)^(-k) for any integer k; the series 1 for k = 0.
 
-    y = g^a satisfies g*y' = a*g'*y, so n*y_n = sum_j (a*j - (n-j))*g_j*y_(n-j)
-    over the O(sqrt N) nonzero g_j of g = phi(-q): O(N^1.5) in all.
+    In a modular ring a positive k powers the Newton inverse over and a
+    negative k powers phi(-q) itself, with no inverse.  Exact coefficients
+    come from a sparse recurrence: y = g^a satisfies g*y' = a*g'*y, so
+    n*y_n = sum_j (a*j - (n-j))*g_j*y_(n-j) over the O(sqrt N) nonzero g_j
+    of g = phi(-q), O(N^1.5) in all.
     """
     if not ring.exact:
-        return build_series(Family.overpartitions(), order, ring).pow(k)
+        if k > 0:
+            return build_series(Family.overpartitions(), order, ring).pow(k)
+        return phi_series(-1, order, ring).pow(-k)
     g = phi_series(-1, order).tolist()
     terms = [(j, c) for j, c in enumerate(g) if j and c]
     y = [1] + [0] * order
@@ -346,11 +381,19 @@ def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:
     """Theta series phi(+/-q) = 1 + 2*sum_{n>=1} (+/-1)^n q^(n^2)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for n in range(1, math.isqrt(order) + 1):
-        coeffs[n * n] = 2 if (sign > 0 or n % 2 == 0) else -2
-    return Series(ring, order, coeffs)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if ring.exact:
+        coeffs = [0] * (order + 1)
+        coeffs[0] = 1
+        for n in range(1, math.isqrt(order) + 1):
+            coeffs[n * n] = 2 if (sign > 0 or n % 2 == 0) else -2
+        return Series(ring, order, coeffs)
+    n = np.arange(1, math.isqrt(order) + 1)
+    arr = np.zeros(order + 1, dtype=np.int64)
+    arr[0] = 1
+    arr[n * n] = 2 if sign > 0 else np.where(n % 2, -2, 2)
+    return Series(ring, order, arr)
 
 
 def _positive_square_series(order: int, ring: Ring, stride: int = 1) -> Series:

@@ -3,8 +3,8 @@
 Everything here is deliberately naive backtracking over explicit objects, so
 it can be trusted independently of the series machinery it cross-checks.
 Feasible range is roughly n <= 12 for plane families and n <= 30 for the
-one-dimensional ones; a cell-visit budget guards against accidental large-n
-calls.
+one-dimensional ones; a budget on cell visits and yielded plane
+overpartitions guards against accidental large-n calls.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration exceeded its configured cell-visit budget."""
+    """Enumeration exceeded its configured budget of steps."""
 
 
 DEFAULT_BUDGET = 5_000_000
@@ -182,9 +182,14 @@ def render(po: PlaneOverpartition) -> str:
 
 def plane_partitions(n: int, max_rows: int | None = None,
                      budget: int | None = DEFAULT_BUDGET):
-    """Yield plane partitions of n as tuples of weakly decreasing int rows."""
-    tracker = _Budget(budget)
+    """Yield plane partitions of n as tuples of weakly decreasing int rows.
 
+    Each cell visit costs one step of ``budget``.
+    """
+    return _plane_partitions(n, max_rows, _Budget(budget))
+
+
+def _plane_partitions(n, max_rows, tracker):
     def rows(row_bound, remaining, acc):
         if remaining == 0:
             yield acc
@@ -223,8 +228,11 @@ def plane_overpartitions(n: int, max_rows: int | None = None,
     Per cell the row rule either forces "not overlined" or leaves it free and
     the column rule either forces "overlined" or leaves it free; assignments
     violating both at once are pruned (such fillings admit no decoration).
+    Each cell visit and each yielded decoration costs one step of
+    ``budget``, so at most ``budget`` objects are yielded.
     """
-    for pp in plane_partitions(n, max_rows, budget):
+    tracker = _Budget(budget)
+    for pp in _plane_partitions(n, max_rows, tracker):
         choices = []
         dead = False
         for r, row in enumerate(pp):
@@ -244,6 +252,7 @@ def plane_overpartitions(n: int, max_rows: int | None = None,
             continue
         widths = [len(row) for row in pp]
         for flags in itertools.product(*choices):
+            tracker.charge()
             rows = []
             i = 0
             for r, row in enumerate(pp):

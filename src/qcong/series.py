@@ -129,11 +129,17 @@ class Series:
 
     @classmethod
     def zero(cls, ring: Ring, order: int) -> "Series":
-        return cls(ring, order, [0] * (order + 1))
+        if ring.exact or order < 0:
+            return cls(ring, order, [0] * (order + 1))
+        return cls._wrap(ring, np.zeros(order + 1, dtype=np.int64))
 
     @classmethod
     def one(cls, ring: Ring, order: int) -> "Series":
-        return cls(ring, order, [1] + [0] * order)
+        if ring.exact or order < 0:
+            return cls(ring, order, [1] + [0] * order)
+        arr = np.zeros(order + 1, dtype=np.int64)
+        arr[0] = 1
+        return cls._wrap(ring, arr)
 
     # -- access ------------------------------------------------------------
 
@@ -220,18 +226,20 @@ class Series:
     __mul__ = mul
 
     def pow(self, e: int) -> "Series":
-        """Repeated-squaring power; ``pow(a, 0)`` is one."""
+        """Repeated-squaring power; ``pow(a, 0)`` is one, ``pow(a, 1)`` is a."""
         if e < 0:
             raise ValueError("negative exponent: use inverse_of_unit")
-        result = Series.one(self.ring, self.order)
+        if e == 0:
+            return Series.one(self.ring, self.order)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result.mul(base)
+                result = base if result is None else result.mul(base)
             e >>= 1
-            if e:
-                base = base.mul(base)
-        return result
+            if not e:
+                return result
+            base = base.mul(base)
 
     __pow__ = pow
 

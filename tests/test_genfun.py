@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcong import genfun
+from qcong.congruence import (
+    Claim,
+    Equivalent,
+    SeriesStore,
+    builtin_suite,
+    reference_bound,
+    verify_claim,
+)
 from qcong.genfun import (
     Family,
     Multiset,
@@ -171,6 +181,128 @@ class TestThetaRoute:
         for family in (Family.overpartitions(), Family.plane()):
             with pytest.raises(ValueError):
                 build_series(family, -1)
+
+
+def no_inverse(*args, **kwargs):
+    raise AssertionError("inverse_of_unit called")
+
+
+class TestResidueExponents:
+    """plk over Z/2^r with every exponent reduced modulo M = 2^(r-1)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bits=st.integers(min_value=1, max_value=8),
+        k=st.integers(min_value=1, max_value=40),
+        order=st.integers(min_value=0, max_value=2000),
+    )
+    @example(bits=5, k=5, order=2000)  # k < M: no exponent of over changes
+    @example(bits=4, k=8, order=2000)  # k = 0 (mod M): over^k is 1
+    @example(bits=3, k=12, order=2000)
+    @example(bits=3, k=6, order=2000)  # k = M/2 (mod M): the tie, phi(-q)^2
+    @example(bits=4, k=36, order=1999)
+    @example(bits=1, k=13, order=2000)  # m = 2: plk is 1
+    @example(bits=2, k=40, order=2000)
+    def test_matches_binomial_kernel(self, bits, k, order):
+        ring = Mod(2**bits)
+        family = Family.k_rowed(k)
+        got = build_series(family, order, ring)
+        want = kernel_series(family, order, ring)
+        assert got == want, got.first_mismatch(want)
+
+    @pytest.mark.parametrize("ring", [EXACT, Mod(12), Mod(2**40)], ids=repr)
+    @pytest.mark.parametrize("k", [1, 2, 4, 7, 13, 20])
+    def test_theta_rings_unchanged(self, ring, k):
+        family = Family.k_rowed(k)
+        for order in (0, 1, 2, 13, 500):
+            assert build_series(family, order, ring) == kernel_series(family, order, ring)
+
+    @pytest.mark.parametrize(
+        "modulus,half",
+        [(2, 1), (4, 2), (8, 4), (2**40, 2**39), (12, None), (3, None),
+         (2**61 + 1, None), (None, None)],
+    )
+    def test_route_depends_on_the_ring_alone(self, modulus, half):
+        ring = EXACT if modulus is None else Mod(modulus)
+        assert genfun._two_power_half(ring) == half
+
+    @pytest.mark.parametrize(
+        "e,half,want",
+        [(5, None, 5), (-3, None, -3), (13, 1, 0), (1, 2, -1), (2, 2, 0),
+         (1, 4, 1), (2, 4, -2), (3, 4, -1), (4, 4, 0), (5, 4, 1), (6, 4, -2),
+         (12, 8, -4), (11, 8, 3), (3, 8, 3), (-4, 8, -4), (-5, 8, 3)],
+    )
+    def test_balanced_residue(self, e, half, want):
+        assert genfun._balanced(e, half) == want
+
+    @pytest.mark.parametrize("half", [1, 2, 4, 8, 128])
+    def test_balanced_never_grows(self, half):
+        for e in range(-300, 301):
+            got = genfun._balanced(e, half)
+            assert abs(got) <= abs(e) and (got - e) % half == 0
+            assert -half / 2 <= got < half / 2
+
+    def test_no_newton_inverse_mod_4_and_mostly_mod_8(self, monkeypatch):
+        order = 600
+        want = {
+            (k, m): kernel_series(Family.k_rowed(k), order, Mod(m))
+            for k in range(1, 14) for m in (4, 8)
+        }
+        monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
+        for k in range(1, 14):
+            got = build_series(Family.k_rowed(k), order, Mod(4))
+            assert got == want[k, 4], k
+            if k % 4 != 1:
+                assert build_series(Family.k_rowed(k), order, Mod(8)) == want[k, 8], k
+            else:  # over^1 is left: the pin is not vacuous
+                with pytest.raises(AssertionError, match="inverse_of_unit"):
+                    build_series(Family.k_rowed(k), order, Mod(8))
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 12, 2**40, 2**61 + 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_modular_phi_matches_list_built(self, modulus, sign):
+        ring = Mod(modulus)
+        for order in (0, 1, 3, 4, 99, 100, 1000):
+            coeffs = [0] * (order + 1)
+            coeffs[0] = 1
+            for n in range(1, math.isqrt(order) + 1):
+                coeffs[n * n] = 2 * sign**n
+            assert phi_series(sign, order, ring) == Series(ring, order, coeffs)
+
+    def test_phi_rejects_negative_order(self):
+        for ring in (EXACT, Mod(8)):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                phi_series(-1, -1, ring)
+
+    def test_equivalence_claims_compare_independent_builds(self, monkeypatch):
+        # thm1.5, thm1.6 and thm1.9 equate plk with over.  They must hold with
+        # plk taken from the kernel, which never builds over; and mod 4 the
+        # theta route builds plk from phi(-q) without the inverse behind over
+        claims = [
+            c for c in builtin_suite()
+            if isinstance(c, Claim) and c.family.kind == "plk"
+            and isinstance(c.kind, Equivalent)
+        ]
+        assert {c.label.split("-")[0] for c in claims} == {"thm1.5", "thm1.6", "thm1.9"}
+        assert all(c.kind.other == Family.overpartitions() for c in claims)
+        stores = {}
+        for claim in claims:
+            bound = reference_bound(claim)
+            store = stores.setdefault(bound, SeriesStore(bound))
+            assert verify_claim(claim, store, bound).passed, claim.label
+            kernel_store = SeriesStore(bound)
+            ring = Mod(claim.modulus)
+            kernel_store.put(claim.family, claim.modulus,
+                             kernel_series(claim.family, bound, ring))
+            kernel_store.put(claim.kind.other, claim.modulus,
+                             store.get(claim.kind.other, claim.modulus))
+            report = verify_claim(claim, kernel_store, bound)
+            assert report.passed and report.members > 0, claim.label
+            if claim.modulus == 4:
+                with monkeypatch.context() as patch:
+                    patch.setattr(Series, "inverse_of_unit", no_inverse)
+                    plk = build_series(claim.family, bound, ring)
+                assert plk == kernel_store.get(claim.family, 4), claim.label
 
 
 PLANE_FAMILIES = [Family.plane(), Family.ncolor()]

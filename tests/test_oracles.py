@@ -111,6 +111,20 @@ class TestPlaneOverpartitions:
         with pytest.raises(BudgetExceeded):
             count_plane_overpartitions(11, budget=50)
 
+    @pytest.mark.parametrize("budget", [0, 1, 10, 1000, 20000])
+    def test_budget_bounds_the_objects_yielded(self, budget):
+        # each yielded decoration costs budget, not only each cell visit
+        for n, max_rows in ((40, None), (14, None), (30, 2)):
+            yielded = 0
+            with pytest.raises(BudgetExceeded):
+                for _ in plane_overpartitions(n, max_rows, budget):
+                    yielded += 1
+            assert yielded <= budget
+
+    def test_budget_admits_exact_counts(self):
+        assert count_plane_overpartitions(10, budget=None) == 3584
+        assert count_plane_overpartitions(10) == 3584
+
     def test_all_two_squares_filling_has_no_decoration(self):
         # [[2,2],[2,2]]: row rule forbids overlining cell (1,0), the column
         # rule demands it

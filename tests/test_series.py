@@ -139,6 +139,50 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Series.one(EXACT, 2).pow(-1)
 
+    @pytest.mark.parametrize("ring", [EXACT, Mod(8), Mod(12), Mod(2**61 + 1)], ids=repr)
+    @pytest.mark.parametrize("e,products", [(0, 0), (1, 0), (2, 1), (13, 5)])
+    def test_pow_starts_from_its_base(self, monkeypatch, ring, e, products):
+        order = 300 if ring.modulus else 40
+        s = Series(ring, order, [(7 * i * i + 3 * i + 1) % 11 - 5 for i in range(order + 1)])
+        want = Series.one(ring, order)
+        for _ in range(e):
+            want = want.mul(s)
+        calls = []
+        mul = Series.mul
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Series, "mul", counted)
+        assert s.pow(e) == want
+        assert len(calls) == products
+
+
+class TestConstants:
+    """Modular one and zero are built with numpy; they equal the list forms."""
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 12, 2**40, 2**61 + 1])
+    @pytest.mark.parametrize("order", [0, 1, 7, 1000])
+    def test_match_list_built(self, modulus, order):
+        ring = Mod(modulus)
+        one = Series.one(ring, order)
+        zero = Series.zero(ring, order)
+        assert one == Series(ring, order, [1] + [0] * order)
+        assert zero == Series(ring, order, [0] * (order + 1))
+        for s in (one, zero):
+            assert s._c.dtype == np.int64 and not s._c.flags.writeable
+
+    def test_exact_constants(self):
+        assert Series.one(EXACT, 3).tolist() == [1, 0, 0, 0]
+        assert Series.zero(EXACT, 0).tolist() == [0]
+
+    @pytest.mark.parametrize("ring", [EXACT, Mod(4)], ids=repr)
+    def test_negative_order_rejected(self, ring):
+        for make in (Series.one, Series.zero):
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                make(ring, -1)
+
     def test_inverse_geometric(self):
         s = Series(EXACT, 4, [1, -1, 0, 0, 0])
         assert s.inverse_of_unit().tolist() == [1, 1, 1, 1, 1]
