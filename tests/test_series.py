@@ -158,6 +158,28 @@ class TestArithmetic:
         assert s.pow(e) == want
         assert len(calls) == products
 
+    def test_inverse_geometric(self):
+        s = Series(EXACT, 4, [1, -1, 0, 0, 0])
+        assert s.inverse_of_unit().tolist() == [1, 1, 1, 1, 1]
+
+    def test_inverse_of_one(self):
+        one = Series.one(EXACT, 5)
+        assert one.inverse_of_unit() == one
+
+    def test_inverse_of_f(self):
+        f = f_series(1, 30)
+        assert f.mul(f.inverse_of_unit()) == Series.one(EXACT, 30)
+
+    def test_nonunit_exact(self):
+        with pytest.raises(NonUnitConstantTerm):
+            Series(EXACT, 2, [2, 0, 0]).inverse_of_unit()
+
+    def test_nonunit_mod(self):
+        with pytest.raises(NonUnitConstantTerm):
+            Series(Mod(4), 2, [2, 0, 0]).inverse_of_unit()
+        inv = Series(Mod(9), 2, [2, 0, 0]).inverse_of_unit()
+        assert inv[0] == 5  # 2*5 = 10 = 1 mod 9
+
 
 class TestConstants:
     """Modular one and zero are built with numpy; they equal the list forms."""
@@ -182,28 +204,6 @@ class TestConstants:
         for make in (Series.one, Series.zero):
             with pytest.raises(ValueError, match="order must be >= 0"):
                 make(ring, -1)
-
-    def test_inverse_geometric(self):
-        s = Series(EXACT, 4, [1, -1, 0, 0, 0])
-        assert s.inverse_of_unit().tolist() == [1, 1, 1, 1, 1]
-
-    def test_inverse_of_one(self):
-        one = Series.one(EXACT, 5)
-        assert one.inverse_of_unit() == one
-
-    def test_inverse_of_f(self):
-        f = f_series(1, 30)
-        assert f.mul(f.inverse_of_unit()) == Series.one(EXACT, 30)
-
-    def test_nonunit_exact(self):
-        with pytest.raises(NonUnitConstantTerm):
-            Series(EXACT, 2, [2, 0, 0]).inverse_of_unit()
-
-    def test_nonunit_mod(self):
-        with pytest.raises(NonUnitConstantTerm):
-            Series(Mod(4), 2, [2, 0, 0]).inverse_of_unit()
-        inv = Series(Mod(9), 2, [2, 0, 0]).inverse_of_unit()
-        assert inv[0] == 5  # 2*5 = 10 = 1 mod 9
 
 
 class TestModularProducts:
