@@ -338,11 +338,29 @@ class SeriesStore:
         self._cache[(family, modulus)] = series
 
 
-def _require_order(series: Series, bound: int) -> None:
+def _require_order(series: Series, bound: int, noun: str = "verification") -> None:
     if series.order < bound:
         raise SeriesOrderTooSmall(
-            f"series order {series.order} < verification bound {bound}"
+            f"series order {series.order} < {noun} bound {bound}"
         )
+
+
+def _report(claim, bound: int, args, got, want, b: int) -> Report:
+    """Compare the members ``got`` at arguments ``args`` with ``want``.
+
+    The first mismatch is the counterexample (n, arg, got, want) with
+    n = (arg - b) // l; no members is vacuous; otherwise the claim passes.
+    """
+    bad = np.flatnonzero(got != want)
+    if bad.size:
+        i = int(bad[0])
+        arg = int(args[i])
+        return Report(claim, bound, i + 1, "counterexample",
+                      ((arg - b) // claim.l, arg, int(got[i]), int(want[i])))
+    if got.size == 0:
+        return Report(claim, bound, 0, "vacuous",
+                      note="no progression members within bound")
+    return Report(claim, bound, got.size, "pass")
 
 
 def verify_claim(claim: Claim, store: SeriesStore, bound: int) -> Report:
@@ -364,17 +382,7 @@ def verify_claim(claim: Claim, store: SeriesStore, bound: int) -> Report:
         want %= m
         if keep is not None:
             args, got, want = args[keep], got[keep], want[keep]
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        i = int(bad[0])
-        arg = int(args[i])
-        n = (arg - claim.b) // claim.l
-        return Report(claim, bound, i + 1, "counterexample",
-                      (n, arg, int(got[i]), int(want[i])))
-    if got.size == 0:
-        return Report(claim, bound, 0, "vacuous",
-                      note="no progression members within bound")
-    return Report(claim, bound, got.size, "pass")
+    return _report(claim, bound, args, got, want, claim.b)
 
 
 def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
@@ -392,16 +400,10 @@ def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
         start = l * n0 + b
         # both summands are below m < 2^62, so the sum cannot overflow int64
         total = (total + s._c[start : start + l * count : l]) % m
-    bad = np.flatnonzero(total != claim.residue)
-    if bad.size:
-        i = int(bad[0])
-        n = n0 + i
-        return Report(claim, bound, i + 1, "counterexample",
-                      (n, l * n + offsets[0], int(total[i]), claim.residue))
-    if count == 0:
-        return Report(claim, bound, 0, "vacuous",
-                      note="no progression members within bound")
-    return Report(claim, bound, count, "pass")
+    # a sum claim reports the first term's argument l*n + b_1
+    args = l * np.arange(n0, n0 + count, dtype=np.int64) + offsets[0]
+    want = np.full(count, claim.residue, dtype=np.int64)
+    return _report(claim, bound, args, total, want, offsets[0])
 
 
 def verify(claims, store: SeriesStore, bound: int) -> list[Report]:

@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .series import EXACT, Mod, Ring, Series, binomial_product, lazy_import
+from .series import _divide_one_minus, _sparse_power
 
 np = lazy_import("numpy")
 
@@ -304,8 +305,8 @@ def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
     """prod_{n = j (mod step), n >= 1} (1+q^n)/(1-q^n) mod m, as int64 residues.
 
     Parts up to S = isqrt(order * step) are applied one at a time: divide
-    by (1-q^n) with one cumulative sum down the rows of the (rows, n)
-    reshape, then multiply by (1+q^n).  The parts a, a+step, ... above S
+    by (1-q^n) with the kernel's ``_divide_one_minus`` pass, then multiply
+    by (1+q^n).  The parts a, a+step, ... above S
     come from the recurrence on the number of parts k: partitions into k
     parts of the progression satisfy D_k = q^a * D_(k-1) / (1-q^(step*k)),
     and into k distinct parts the shift is a + step*(k-1).  Started from
@@ -316,39 +317,24 @@ def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
     Cost O(order * S / step + order^2 / S) word operations.
     """
     n1 = order + 1
-    dtype = _wrap_words(m)
-    # room for the padding of every reshape: rows * stride < 2 * n1
-    buf = np.zeros(2 * n1, dtype=dtype)
+    buf = np.zeros(n1, dtype=_wrap_words(m))
     buf[0] = 1
     small = math.isqrt(order * step)
     a = j
     while a <= min(small, order):
-        _divide_one_minus(buf, n1, a)
-        np.add(buf[a:n1], buf[: n1 - a], out=buf[a:n1])
+        _divide_one_minus(buf, a)
+        np.add(buf[a:], buf[: n1 - a], out=buf[a:])
         a += step
     for distinct in (False, True):
-        total = buf[:n1].copy()
+        total = buf.copy()
         offset, k = a, 1
         while offset <= order:
-            _divide_one_minus(buf, n1 - offset, step * k)
+            _divide_one_minus(buf[: n1 - offset], step * k)
             total[offset:] += buf[: n1 - offset]
             offset += a + step * k if distinct else a
             k += 1
-        buf[:n1] = total
-    return buf[:n1].astype(np.int64)
-
-
-def _divide_one_minus(buf: np.ndarray, length: int, stride: int) -> None:
-    """Divide buf[:length] by (1 - q^stride) in place.
-
-    The quotient is a running sum down each residue lane mod stride: one
-    cumulative sum down the rows of a (rows, stride) view.  The view pads
-    ``length`` up to whole rows; the padding only feeds later padding.
-    """
-    rows = -(-length // stride)
-    if rows > 1:
-        view = buf[: rows * stride].reshape(rows, stride)
-        np.cumsum(view, axis=0, dtype=buf.dtype, out=view)
+        buf = total
+    return buf.astype(np.int64)
 
 
 def _over_power(k: int, order: int, ring: Ring) -> Series:
@@ -356,25 +342,14 @@ def _over_power(k: int, order: int, ring: Ring) -> Series:
 
     In a modular ring a positive k powers the Newton inverse over and a
     negative k powers phi(-q) itself, with no inverse.  Exact coefficients
-    come from a sparse recurrence: y = g^a satisfies g*y' = a*g'*y, so
-    n*y_n = sum_j (a*j - (n-j))*g_j*y_(n-j) over the O(sqrt N) nonzero g_j
-    of g = phi(-q), O(N^1.5) in all.
+    come from ``_sparse_power`` over the O(sqrt N) nonzero terms of
+    phi(-q), O(N^1.5) in all.
     """
     if not ring.exact:
         if k > 0:
             return build_series(Family.overpartitions(), order, ring).pow(k)
         return phi_series(-1, order, ring).pow(-k)
-    g = phi_series(-1, order).tolist()
-    terms = [(j, c) for j, c in enumerate(g) if j and c]
-    y = [1] + [0] * order
-    for n in range(1, order + 1):
-        acc = 0
-        for j, c in terms:
-            if j > n:
-                break
-            acc += (-k * j - n + j) * c * y[n - j]
-        y[n] = acc // n
-    return Series(EXACT, order, y)
+    return Series._wrap(EXACT, _sparse_power(phi_series(-1, order)._c, -k))
 
 
 def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:
@@ -389,11 +364,12 @@ def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:
         for n in range(1, math.isqrt(order) + 1):
             coeffs[n * n] = 2 if (sign > 0 or n % 2 == 0) else -2
         return Series(ring, order, coeffs)
+    m = ring.modulus
     n = np.arange(1, math.isqrt(order) + 1)
     arr = np.zeros(order + 1, dtype=np.int64)
     arr[0] = 1
-    arr[n * n] = 2 if sign > 0 else np.where(n % 2, -2, 2)
-    return Series(ring, order, arr)
+    arr[n * n] = 2 % m if sign > 0 else np.where(n % 2, -2 % m, 2 % m)
+    return Series._wrap(ring, arr)
 
 
 def _positive_square_series(order: int, ring: Ring, stride: int = 1) -> Series:

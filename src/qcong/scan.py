@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congruence import Claim, Constant, SeriesOrderTooSmall, builtin_suite
+from .congruence import Claim, Constant, _require_order, builtin_suite
 from .genfun import Family, build_series
 from .series import Mod, Series
 
@@ -113,10 +113,7 @@ def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[F
     if series is None:
         series = build_series(cfg.family, cfg.bound, Mod(cfg.modulus))
     _check_ring(series, cfg.modulus)
-    if series.order < cfg.bound:
-        raise SeriesOrderTooSmall(
-            f"series order {series.order} < scan bound {cfg.bound}"
-        )
+    _require_order(series, cfg.bound, "scan")
     bound = cfg.bound
     arr = series._c[: bound + 1]
     known = _known_constant_claims()
@@ -162,10 +159,7 @@ def empirical_density(family: Family, modulus: int, bound: int,
     if series is None:
         series = build_series(family, bound, Mod(modulus))
     _check_ring(series, modulus)
-    if series.order < bound:
-        raise SeriesOrderTooSmall(
-            f"series order {series.order} < density bound {bound}"
-        )
+    _require_order(series, bound, "density")
     zeros = int(np.count_nonzero(series._c[1 : bound + 1] == 0))
     return zeros / bound
 

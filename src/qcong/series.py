@@ -247,8 +247,8 @@ class Series:
         """Multiplicative inverse; requires an invertible constant term.
 
         Modular rings use Newton doubling b <- b*(2 - a*b) on the FFT
-        product; the exact ring runs the recurrence over the nonzero
-        coefficients only, O(N^1.5) for a theta series.
+        product; the exact ring is ``_sparse_power`` with exponent -1,
+        O(N^1.5) for a theta series.
         """
         n = self.order
         m = self.ring.modulus
@@ -256,16 +256,7 @@ class Series:
         if m is None:
             if u not in (1, -1):
                 raise NonUnitConstantTerm(f"constant term {u} is not a unit in Z")
-            terms = [(i, c) for i, c in enumerate(self._c) if i and c]
-            b = [u] + [0] * n
-            for k in range(1, n + 1):
-                acc = 0
-                for i, c in terms:
-                    if i > k:
-                        break
-                    acc += c * b[k - i]
-                b[k] = -u * acc
-            return Series._wrap(self.ring, tuple(b))
+            return Series._wrap(self.ring, _sparse_power(self._c, -1))
         try:
             uinv = pow(u, -1, m)
         except ValueError:
@@ -537,7 +528,14 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
     if e < 0 and -e <= t_cap and -e * n <= t_cap:
         if m * (t_cap + 2) < _I64_CAP:
             for _ in range(-e):
-                _divide_pass_mod(arr, sign, n, m)
+                if sign > 0:
+                    # 1/(1+x) = (1-x)/(1-x^2); the subtraction reads pre-pass
+                    # values, as in the multiplication passes above
+                    np.subtract(arr[n:], arr[:-n], out=arr[n:])
+                    _divide_one_minus(arr, 2 * n)
+                else:
+                    _divide_one_minus(arr, n)
+                arr %= m
             return
     t_max = t_cap if e < 0 else min(e, t_cap)
     terms = _binomial_terms(sign, e, t_max)
@@ -563,20 +561,41 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
         arr[:] = np.fromiter((c % m for c in buf), dtype=np.int64, count=top + 1)
 
 
-def _divide_pass_mod(arr: np.ndarray, sign: int, n: int, m: int) -> None:
-    """One in-place division of ``arr`` by (1 + sign*q^n) mod m.
+def _divide_one_minus(buf: np.ndarray, stride: int) -> None:
+    """Divide ``buf`` by (1 - q^stride) in place, without reducing.
 
-    Per residue class mod n the quotient is a running (alternating for
-    sign=+1) prefix sum; partial sums stay below m*(len/n + 1) by the
-    caller's headroom check.
+    The quotient is a running sum down each residue lane mod stride: one
+    cumulative sum down the whole rows of the (rows, stride) view, then the
+    last whole row added into the partial row after it.  Sums of int64
+    residues below m grow to at most m * (len/stride + 1); wrapping
+    unsigned words stay exact modulo their 2^w.
     """
-    for r in range(n):
-        lane = arr[r::n]
-        if sign < 0:
-            lane[:] = np.cumsum(lane) % m
-        else:
-            tmp = lane.copy()
-            tmp[1::2] = -tmp[1::2]
-            tmp = np.cumsum(tmp)
-            tmp[1::2] = -tmp[1::2]
-            lane[:] = tmp % m
+    rows, tail = divmod(len(buf), stride)
+    whole = rows * stride
+    if rows > 1:
+        view = buf[:whole].reshape(rows, stride)
+        np.cumsum(view, axis=0, dtype=buf.dtype, out=view)
+    if rows and tail:
+        buf[whole:] += buf[whole - stride : whole - stride + tail]
+
+
+def _sparse_power(g, a: int) -> tuple[int, ...]:
+    """Exact coefficients of g^a for integer coefficients g with g_0 = +/-1.
+
+    y = g^a satisfies g*y' = a*g'*y, so
+    g_0*n*y_n = sum_j (a*j - (n-j))*g_j*y_(n-j) over the nonzero g_j,
+    j >= 1: O(N * nonzeros), O(N^1.5) for a theta series.  Any integer a
+    works; a = -1 is the inverse.
+    """
+    g0 = g[0]
+    # (a*j - (n-j))*g_j = w_j - n*g_j with w_j = (a+1)*j*g_j fixed per term
+    terms = [(j, c, (a + 1) * j * c) for j, c in enumerate(g) if j and c]
+    y = [g0 ** (a % 2)] + [0] * (len(g) - 1)
+    for n in range(1, len(g)):
+        acc = 0
+        for j, c, w in terms:
+            if j > n:
+                break
+            acc += (w - n * c) * y[n - j]
+        y[n] = g0 * acc // n
+    return tuple(y)

@@ -216,7 +216,8 @@ class TestVerifyClaim:
 
     def test_order_too_small(self, store):
         claim = Claim("x", Family.plane(), 4, 1, 0, Constant(0), n_start=1)
-        with pytest.raises(SeriesOrderTooSmall):
+        with pytest.raises(SeriesOrderTooSmall,
+                           match="^series order 700 < verification bound 10000$"):
             verify_claim(claim, store, 10_000)
 
     def test_equivalence_is_symmetric(self, store):
@@ -342,6 +343,13 @@ class TestSumClaims:
             verify_sum_claim(sum_claim, store, 600).outcome
             == verify_claim(plain, store, 600).outcome
         )
+
+    def test_late_counterexample_reports_first_term(self, store):
+        # offsets 6 >= l and n_start 3: n = (arg - b_1) // l = (18 - 6) // 4
+        claim = SumClaim("late", ((Family.k_rowed(4), 6), (Family.k_rowed(4), 2)),
+                         modulus=4, l=4, residue=0, n_start=3)
+        report = verify_sum_claim(claim, store, 300)
+        assert report.counterexample == (3, 18, 2, 0) and report.members == 1
 
     def test_empty_sum_is_vacuous(self, store):
         claim = SumClaim("nothing", (), modulus=4, l=4, residue=0)

@@ -150,8 +150,11 @@ class TestScan:
         cfg = ScanConfig(Family.plane(), 4, 6, 500)
         from qcong.congruence import SeriesOrderTooSmall
 
-        with pytest.raises(SeriesOrderTooSmall):
+        with pytest.raises(SeriesOrderTooSmall, match="^series order 100 < scan bound 500$"):
             scan_ap_congruences(cfg, series=series)
+        with pytest.raises(SeriesOrderTooSmall,
+                           match="^series order 100 < density bound 500$"):
+            empirical_density(Family.plane(), 4, 500, series=series)
 
 
 class TestScanMatchesLoop:

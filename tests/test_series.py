@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcong import series as series_module
@@ -291,7 +291,7 @@ class TestBinomialKernel:
         n=st.integers(min_value=1, max_value=50),
         e=st.integers(min_value=-6, max_value=6),
         sign=st.sampled_from([1, -1]),
-        modulus=st.sampled_from([None, 4, 12, 64, 2**40]),
+        modulus=st.sampled_from([None, 2, 4, 12, 64, 2**40, 2**61 + 1]),
     )
     def test_matches_dense_multiplication(self, data, n, e, sign, modulus):
         order, coeffs, _, _ = data
@@ -308,6 +308,100 @@ class TestBinomialKernel:
         else:
             want = s.mul(factor.pow(-e).inverse_of_unit())
         assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(min_value=0, max_value=400),
+        n=st.integers(min_value=1, max_value=8),
+        e=st.integers(min_value=-4, max_value=-1),
+        sign=st.sampled_from([1, -1]),
+        modulus=st.sampled_from([2, 4, 12, 64, 2**40]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_division_passes_match_dense_inverse(self, order, n, e, sign, modulus, seed):
+        # small n and |e| against long series: the stride-pass division
+        ring = Mod(modulus)
+        s = Series(ring, order, random_coeffs(seed, modulus, order + 1))
+        dense = [1] + [0] * order
+        if n <= order:
+            dense[n] = sign
+        want = s.mul(Series(ring, order, dense).pow(-e).inverse_of_unit())
+        assert s.mul_binomial_power(sign, n, e) == want
+
+
+def divide_reference(values, stride):
+    """values / (1 - q^stride) in Python integers, one coefficient at a time."""
+    out = list(values)
+    for j in range(stride, len(out)):
+        out[j] += out[j - stride]
+    return out
+
+
+class TestDivideOneMinus:
+    """The shared (1 - q^s) pass of the kernel and the class route."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        length=st.integers(min_value=0, max_value=400),
+        stride=st.integers(min_value=1, max_value=450),
+        words=st.sampled_from(["int64", "uint8", "uint16"]),
+        m=st.sampled_from([2, 4, 12, 64, 2**40]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(length=5, stride=7, words="int64", m=12, seed=1)
+    @example(length=7, stride=7, words="uint8", m=4, seed=2)
+    @example(length=8, stride=7, words="int64", m=64, seed=3)
+    @example(length=23, stride=5, words="uint16", m=4, seed=4)
+    @example(length=400, stride=3, words="int64", m=2**40, seed=5)
+    @example(length=399, stride=200, words="uint8", m=4, seed=6)
+    @example(length=0, stride=1, words="int64", m=2, seed=7)
+    def test_matches_loop(self, length, stride, words, m, seed):
+        # int64 buffers hold residues and are reduced afterwards, as in
+        # _apply_mod; unsigned buffers wrap modulo their 2^w, as in the
+        # class route
+        top = m if words == "int64" else 1 << (8 * np.dtype(words).itemsize)
+        values = random_coeffs(seed, top, length)
+        buf = np.array(values, dtype=words)
+        series_module._divide_one_minus(buf, stride)
+        got = [int(x) % top for x in buf]
+        assert got == [x % top for x in divide_reference(values, stride)]
+
+    def test_divides_a_view_in_place(self):
+        buf = np.arange(1, 11, dtype=np.int64)
+        series_module._divide_one_minus(buf[:7], 3)
+        assert buf.tolist() == [1, 2, 3, 5, 7, 9, 12, 8, 9, 10]
+
+
+class TestSparsePower:
+    """One exact recurrence serves the inverse and over^k."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        order=st.integers(min_value=0, max_value=120),
+        a=st.integers(min_value=-6, max_value=6),
+        g0=st.sampled_from([1, -1]),
+        data=st.data(),
+    )
+    def test_matches_products(self, order, a, g0, data):
+        tail = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]),
+                                  min_size=order, max_size=order))
+        g = Series(EXACT, order, [g0] + tail)
+        got = Series(EXACT, order, series_module._sparse_power(g._c, a))
+        if a >= 0:
+            assert got == g.pow(a)
+        else:
+            assert got.mul(g.pow(-a)) == Series.one(EXACT, order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.integers(min_value=0, max_value=200), data=st.data())
+    def test_inverse_with_constant_minus_one(self, order, data):
+        tail = data.draw(st.lists(st.integers(min_value=-9, max_value=9),
+                                  min_size=order, max_size=order))
+        a = Series(EXACT, order, [-1] + tail)
+        inv = a.inverse_of_unit()
+        one = Series.one(EXACT, order)
+        assert inv[0] == -1
+        assert a.mul(inv) == one and inv.mul(a) == one
 
 
 class TestReduceMod:
