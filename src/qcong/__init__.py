@@ -38,13 +38,7 @@ _EXPORTS = {
         "Family",
         "Multiset",
         "build_series",
-        "check_jacobi_specializations",
-        "check_phi_factorizations",
-        "phi_product_approx",
         "phi_series",
-        "sum_of_squares_series",
-        "tail_product_series",
-        "two_adic_overpartition",
     ),
     "periodicity": (
         "InsufficientOrder",
@@ -71,7 +65,6 @@ _EXPORTS = {
         "NonUnitConstantTerm",
         "Ring",
         "Series",
-        "f_series",
     ),
 }
 _SUBMODULES = ("cli", "congruence", "genfun", "oracles", "periodicity", "scan",

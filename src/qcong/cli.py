@@ -19,7 +19,7 @@ import sys
 
 from . import genfun
 from .genfun import FAMILY_KINDS, Family
-from .series import EXACT, Mod
+from .series import Ring
 
 
 def _parse_parts(text: str) -> list[int]:
@@ -64,8 +64,7 @@ def _emit(args, text_lines, payload, csv_rows=None) -> None:
 
 def _cmd_expand(args) -> int:
     family = _family_from_args(args)
-    ring = EXACT if args.mod is None else Mod(args.mod)
-    series = genfun.build_series(family, args.order, ring)
+    series = genfun.build_series(family, args.order, Ring(args.mod))
     coeffs = series.tolist()
     payload = {
         "family": family.token,
@@ -155,6 +154,24 @@ def _cmd_period(args) -> int:
     return 0
 
 
+# Plane overpartition counts never decrease with n: every plane family is
+# 1/(1-q) times (1+q) * prod_{n>=2} ((1+q^n)/(1-q^n))^e with e >= 0, a series
+# with nonnegative coefficients, so each count is a partial sum of them.  The
+# count at this order thus bounds the count at any larger n from below.
+_COUNT_ORDER = 200
+
+
+def _count_exceeds(n: int, max_rows: int | None, budget: int) -> bool:
+    """Whether there are more than ``budget`` plane overpartitions of n.
+
+    The oracle charges one budget step per object it yields, so such a run
+    can only end with the budget exhausted; its count decides that at once.
+    """
+    family = Family.k_rowed(max_rows) if max_rows else Family.plane()
+    order = min(n, _COUNT_ORDER)
+    return genfun.build_series(family, order)[order] > budget
+
+
 def _cmd_enumerate(args) -> int:
     from . import oracles
 
@@ -170,6 +187,8 @@ def _cmd_enumerate(args) -> int:
     budget = oracles.DEFAULT_BUDGET if args.budget is None else args.budget
     diagrams: list[str] = []
     if family.kind in ("plane", "plk"):
+        if _count_exceeds(n, max_rows, budget):
+            raise ValueError("enumeration budget exceeded")
         try:
             if args.diagrams:
                 objs = list(oracles.plane_overpartitions(n, max_rows, budget))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .genfun import Family, build_series
-from .series import EXACT, Mod, Series
+from .series import Ring, Series
 
 # numpy after the package modules: importing it first raises the peak RSS
 # of ``import qcong`` by about 1 MB
@@ -25,38 +25,6 @@ class SeriesOrderTooSmall(ValueError):
 
 
 # -- number-theoretic predicates ----------------------------------------------
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
-def is_twice_square(n: int) -> bool:
-    return n % 2 == 0 and is_square(n // 2)
-
-
-def odd_divisor_signature(n: int) -> int:
-    """Number of odd divisors of n >= 2, via trial-division factorization."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    while n % 2 == 0:
-        n //= 2
-    count = 1
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            count *= e + 1
-        p += 2
-    if n > 1:
-        count *= 2
-    return count
 
 
 def _square_table(top: int) -> np.ndarray:
@@ -101,8 +69,7 @@ def _odd_divisor_formula(args: np.ndarray):
 
 # Each predicate maps an int64 array of arguments >= 0 to (expected, keep):
 # the expected values before reduction, and a mask of the arguments it
-# applies to (None: all of them).  is_square, is_twice_square and
-# odd_divisor_signature are the scalar references.
+# applies to (None: all of them).
 PREDICATES = {
     "square-or-twice-square": _square_split,
     "nonsquare-odd": _nonsquare_odd,
@@ -303,10 +270,6 @@ def claim_from_json(raw) -> Claim | SumClaim:
                  modulus, l, _field(ap, "b", int, "ap", 0), claim_kind, n_start)
 
 
-def _ring(modulus: int | None):
-    return EXACT if modulus is None else Mod(modulus)
-
-
 class SeriesStore:
     """Builds each (family, modulus) series once at a fixed order.
 
@@ -324,14 +287,14 @@ class SeriesStore:
         key = (family, modulus)
         got = self._cache.get(key)
         if got is None:
-            got = build_series(family, self.order, _ring(modulus))
+            got = build_series(family, self.order, Ring(modulus))
             self._cache[key] = got
         return got
 
     def put(self, family: Family, modulus: int | None, series: Series) -> None:
         if series.order != self.order:
             raise ValueError("series order does not match the store")
-        if series.ring != _ring(modulus):
+        if series.ring != Ring(modulus):
             raise ValueError(
                 f"series ring {series.ring!r} does not match modulus {modulus}"
             )

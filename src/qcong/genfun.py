@@ -1,4 +1,4 @@
-"""Named generating functions for the partition families, plus identity checks.
+"""Named generating functions for the partition families.
 
 Every family is an infinite product of binomial factors (1 +/- q^n)^e; the
 binomial kernel truncates the product at factor index n = order, which is
@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .series import EXACT, Mod, Ring, Series, binomial_product, lazy_import
+from .series import EXACT, Ring, Series, binomial_product, lazy_import
 from .series import _divide_one_minus, _sparse_power
 
 np = lazy_import("numpy")
@@ -370,133 +370,3 @@ def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:
     arr[0] = 1
     arr[n * n] = 2 % m if sign > 0 else np.where(n % 2, -2 % m, 2 % m)
     return Series._wrap(ring, arr)
-
-
-def _positive_square_series(order: int, ring: Ring, stride: int = 1) -> Series:
-    """sum_{n>=1} q^(stride * n^2), truncated."""
-    coeffs = [0] * (order + 1)
-    n = 1
-    while stride * n * n <= order:
-        coeffs[stride * n * n] = 1
-        n += 1
-    return Series(ring, order, coeffs)
-
-
-def sum_of_squares_series(k: int, order: int, ring: Ring = EXACT) -> Series:
-    """Series of c_k(n): ordered representations of n as k positive squares."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _positive_square_series(order, ring).pow(k)
-
-
-def two_adic_overpartition(order: int, bits: int) -> Series:
-    """Overpartition series mod 2^bits from its 2-adic square-count expansion.
-
-    Returns 1 + sum_{j=1}^{bits-1} 2^j sum_n (-1)^(n+j) c_j(n) q^n over
-    Z/2^bits; equal to the product form of the overpartition series.
-    """
-    if bits < 2:
-        raise ValueError("bits must be >= 2")
-    ring = Mod(2**bits)
-    base = _positive_square_series(order, ring)
-    acc = [0] * (order + 1)
-    acc[0] = 1
-    c_j = None
-    for j in range(1, bits):
-        c_j = base if c_j is None else c_j.mul(base)
-        scale = 2**j
-        for n in range(1, order + 1):
-            parity = -1 if (n + j) % 2 else 1
-            acc[n] += scale * parity * c_j[n]
-    return Series(ring, order, acc)
-
-
-def phi_product_approx(bits: int, order: int, odd_parts: bool = False) -> Series:
-    """Finite theta product congruent to the (odd-parts) overpartition series.
-
-    mod 2^bits:  prod_{j=0..bits-2} phi(q^(2^j))^(2^j)  for overpartitions;
-    with odd_parts, phi(q) * prod_{j=1..bits-1} phi(q^(2^j))^(2^(j-1)) for
-    overpartitions into odd parts.
-    """
-    if bits < 2:
-        raise ValueError("bits must be >= 2")
-    ring = Mod(2**bits)
-    if odd_parts:
-        layers = [(1, 1)] + [(2**j, 2 ** (j - 1)) for j in range(1, bits)]
-    else:
-        layers = [(2**j, 2**j) for j in range(bits - 1)]
-    out = Series.one(ring, order)
-    for stride, exponent in layers:
-        theta = _positive_square_series(order, ring, stride=stride)
-        factor = Series.one(ring, order).add(theta).add(theta)  # 1 + 2*theta
-        out = out.mul(factor.pow(exponent))
-    return out
-
-
-def tail_product_series(n: int, order: int, ring: Ring = EXACT) -> Series:
-    """Tail product prod_{i>n} (1+q^i)/(1-q^i); n = 0 is the full product."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def factors():
-        for i in range(n + 1, order + 1):
-            yield (+1, i, 1)
-            yield (-1, i, -1)
-
-    return binomial_product(ring, order, factors())
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking one series identity coefficient by coefficient."""
-
-    label: str
-    order: int
-    passed: bool
-    first_mismatch: int | None = None
-
-
-def _compare(label: str, lhs: Series, rhs: Series) -> IdentityReport:
-    idx = lhs.first_mismatch(rhs)
-    return IdentityReport(label, lhs.order, idx is None, idx)
-
-
-def check_phi_factorizations(order: int) -> list[IdentityReport]:
-    """Exactly verify the theta refactorings of the overpartition series.
-
-    Checks  P(q) = phi(q) * P(q^2)^2  and  P_odd(q) = phi(q) * P(q^2)
-    up to the given order, where P is the overpartition series.
-    """
-    # built by the binomial kernel: build_series itself uses these identities
-    over, odd = (
-        binomial_product(EXACT, order, _family_factors(family, order))
-        for family in (Family.overpartitions(), Family.odd_overpartitions())
-    )
-    phi = phi_series(+1, order)
-    over_q2 = over.inflate(2)
-    return [
-        _compare("over = phi * over(q^2)^2", over, phi.mul(over_q2).mul(over_q2)),
-        _compare("oddover = phi * over(q^2)", odd, phi.mul(over_q2)),
-    ]
-
-
-def check_jacobi_specializations(order: int) -> list[IdentityReport]:
-    """Verify both z = +/-1 specializations of the triple product identity.
-
-    prod (1-q^(2n))(1 +/- q^(2n-1))^2 equals the theta series phi(+/-q).
-    """
-
-    def product(sign: int) -> Series:
-        def factors():
-            for n in range(1, order + 1):
-                if 2 * n <= order:
-                    yield (-1, 2 * n, 1)
-                if 2 * n - 1 <= order:
-                    yield (sign, 2 * n - 1, 2)
-
-        return binomial_product(EXACT, order, factors())
-
-    return [
-        _compare("triple product, z=+1", product(+1), phi_series(+1, order)),
-        _compare("triple product, z=-1", product(-1), phi_series(-1, order)),
-    ]

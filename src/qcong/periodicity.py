@@ -10,8 +10,7 @@ explicitly built series.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,13 +172,5 @@ def cross_check(parts, ell: int, power: int, guard: int = 3) -> PeriodReport:
         Family.restricted(report.multiset), order, Mod(ell**report.power)
     )
     found = empirical_period(series, report.period, guard)
-    return PeriodReport(
-        prime=report.prime,
-        power=report.power,
-        multiset=report.multiset,
-        b_value=report.b_value,
-        m_value=report.m_value,
-        period=report.period,
-        empirical_period=found,
-        agreement=found == report.period,
-    )
+    return replace(report, empirical_period=found,
+                   agreement=found == report.period)

@@ -423,17 +423,6 @@ def _fft_size(n: int) -> int:
     return min(b << (-(-n // b) - 1).bit_length() for b in _FFT_ODD)
 
 
-def f_series(n: int, order: int, ring: Ring = EXACT) -> Series:
-    """The factor (1+q^n)/(1-q^n) = 1 + 2*sum_{m>=1} q^(n*m), truncated."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for j in range(n, order + 1, n):
-        coeffs[j] = 2
-    return Series(ring, order, coeffs)
-
-
 def binomial_product(ring: Ring, order: int, factors) -> Series:
     """Product of binomial factors (1 + sign*q^n)^e over one shared buffer.
 

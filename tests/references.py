@@ -1,0 +1,127 @@
+"""Reference series that several test files compare qcong's builders against.
+
+None of them goes through ``genfun.build_series``: the binomial kernel
+applied to a family's factors, the two sides of the theta identities, the
+square-count series, the 2-adic expansion and the finite theta product of
+the overpartition series, and the factor (1+q^n)/(1-q^n).
+"""
+
+from qcong import genfun
+from qcong.genfun import Family, phi_series
+from qcong.series import EXACT, Mod, Ring, Series, binomial_product
+
+
+def kernel_series(family, order, ring):
+    """The family through the binomial kernel, the independent reference."""
+    return binomial_product(ring, order, genfun._family_factors(family, order))
+
+
+def phi_factorizations(order: int):
+    """(label, lhs, rhs) for the theta refactorings of the overpartition series.
+
+    P(q) = phi(q) * P(q^2)^2 and P_odd(q) = phi(q) * P(q^2), with both
+    families built by the binomial kernel: build_series itself uses these
+    identities.
+    """
+    over = kernel_series(Family.overpartitions(), order, EXACT)
+    odd = kernel_series(Family.odd_overpartitions(), order, EXACT)
+    phi = phi_series(+1, order)
+    over_q2 = over.inflate(2)
+    return [
+        ("over = phi * over(q^2)^2", over, phi.mul(over_q2).mul(over_q2)),
+        ("oddover = phi * over(q^2)", odd, phi.mul(over_q2)),
+    ]
+
+
+def jacobi_specializations(order: int):
+    """(label, lhs, rhs) for the z = +/-1 cases of the triple product identity.
+
+    prod (1-q^(2n))(1 +/- q^(2n-1))^2 equals the theta series phi(+/-q).
+    """
+
+    def product(sign: int) -> Series:
+        def factors():
+            for n in range(1, order + 1):
+                if 2 * n <= order:
+                    yield (-1, 2 * n, 1)
+                if 2 * n - 1 <= order:
+                    yield (sign, 2 * n - 1, 2)
+
+        return binomial_product(EXACT, order, factors())
+
+    return [
+        ("triple product, z=+1", product(+1), phi_series(+1, order)),
+        ("triple product, z=-1", product(-1), phi_series(-1, order)),
+    ]
+
+
+def f_series(n: int, order: int, ring: Ring = EXACT) -> Series:
+    """The factor (1+q^n)/(1-q^n) = 1 + 2*sum_{m>=1} q^(n*m), truncated."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    for j in range(n, order + 1, n):
+        coeffs[j] = 2
+    return Series(ring, order, coeffs)
+
+
+def _positive_square_series(order: int, ring: Ring, stride: int = 1) -> Series:
+    """sum_{n>=1} q^(stride * n^2), truncated."""
+    coeffs = [0] * (order + 1)
+    n = 1
+    while stride * n * n <= order:
+        coeffs[stride * n * n] = 1
+        n += 1
+    return Series(ring, order, coeffs)
+
+
+def sum_of_squares_series(k: int, order: int, ring: Ring = EXACT) -> Series:
+    """Series of c_k(n): ordered representations of n as k positive squares."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _positive_square_series(order, ring).pow(k)
+
+
+def two_adic_overpartition(order: int, bits: int) -> Series:
+    """Overpartition series mod 2^bits from its 2-adic square-count expansion.
+
+    Returns 1 + sum_{j=1}^{bits-1} 2^j sum_n (-1)^(n+j) c_j(n) q^n over
+    Z/2^bits; equal to the product form of the overpartition series.
+    """
+    if bits < 2:
+        raise ValueError("bits must be >= 2")
+    ring = Mod(2**bits)
+    base = _positive_square_series(order, ring)
+    acc = [0] * (order + 1)
+    acc[0] = 1
+    c_j = None
+    for j in range(1, bits):
+        c_j = base if c_j is None else c_j.mul(base)
+        scale = 2**j
+        for n in range(1, order + 1):
+            parity = -1 if (n + j) % 2 else 1
+            acc[n] += scale * parity * c_j[n]
+    return Series(ring, order, acc)
+
+
+def phi_product_approx(bits: int, order: int, odd_parts: bool = False) -> Series:
+    """Finite theta product congruent to the (odd-parts) overpartition series.
+
+    mod 2^bits:  prod_{j=0..bits-2} phi(q^(2^j))^(2^j)  for overpartitions;
+    with odd_parts, phi(q) * prod_{j=1..bits-1} phi(q^(2^j))^(2^(j-1)) for
+    overpartitions into odd parts.
+    """
+    if bits < 2:
+        raise ValueError("bits must be >= 2")
+    ring = Mod(2**bits)
+    if odd_parts:
+        layers = [(1, 1)] + [(2**j, 2 ** (j - 1)) for j in range(1, bits)]
+    else:
+        layers = [(2**j, 2**j) for j in range(bits - 1)]
+    out = Series.one(ring, order)
+    for stride, exponent in layers:
+        theta = _positive_square_series(order, ring, stride=stride)
+        factor = Series.one(ring, order).add(theta).add(theta)  # 1 + 2*theta
+        out = out.mul(factor.pow(exponent))
+    return out

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,19 @@ class TestEnumerate:
             capsys, "enumerate", "plane", "--n", "12", "--budget", "10"
         )
         assert code == 1 and "budget" in err
+        # 2 objects fit a budget of 2, but the cell visit exhausts it
+        code, _, err = run(capsys, "enumerate", "plane", "--n", "1", "--budget", "2")
+        assert code == 1 and err == "error: enumeration budget exceeded\n"
+
+    def test_count_above_budget_fails_at_once(self):
+        # 36,898,372,640 plane overpartitions of 40 against the default
+        # budget of 5,000,000: refused from the series, not by enumerating
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "enumerate", "plane", "--n", "40"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: enumeration budget exceeded\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -18,9 +19,6 @@ from qcong.congruence import (
     builtin_suite,
     claim_from_json,
     claims_by_label,
-    is_square,
-    is_twice_square,
-    odd_divisor_signature,
     reference_bound,
     verify,
     verify_at_reference,
@@ -34,6 +32,38 @@ from qcong.series import EXACT, Mod, Series
 @pytest.fixture(scope="module")
 def store():
     return SeriesStore(700)
+
+
+def is_square(n: int) -> bool:
+    if n < 0:
+        return False
+    r = math.isqrt(n)
+    return r * r == n
+
+
+def is_twice_square(n: int) -> bool:
+    return n % 2 == 0 and is_square(n // 2)
+
+
+def odd_divisor_signature(n: int) -> int:
+    """Number of odd divisors of n >= 2, via trial-division factorization."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    while n % 2 == 0:
+        n //= 2
+    count = 1
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            count *= e + 1
+        p += 2
+    if n > 1:
+        count *= 2
+    return count
 
 
 # The per-argument predicates: expected residue before reduction, or None

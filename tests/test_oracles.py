@@ -22,6 +22,7 @@ from qcong.oracles import (
     render,
     validate,
 )
+from references import sum_of_squares_series
 
 
 class TestPartitionsMultiset:
@@ -207,8 +208,6 @@ class TestRepresentationCounts:
         assert count_sum_of_squares(3, 2) == 0
 
     def test_sum_of_squares_matches_series(self):
-        from qcong.genfun import sum_of_squares_series
-
         for k in (1, 2, 3):
             series = sum_of_squares_series(k, 30)
             for n in range(31):

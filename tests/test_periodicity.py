@@ -14,7 +14,8 @@ from qcong.periodicity import (
     m_value,
     ord_prime,
 )
-from qcong.series import EXACT, Mod, Series, f_series
+from qcong.series import EXACT, Mod, Series
+from references import f_series
 
 WORKED_EXAMPLE = [1, 1, 2, 2, 2, 4, 4, 5]
 

@@ -11,8 +11,8 @@ from qcong.series import (
     Ring,
     Series,
     binomial_product,
-    f_series,
 )
+from references import f_series
 
 MODULI = [2, 4, 8, 12, 64]
 
