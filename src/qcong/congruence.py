@@ -116,14 +116,15 @@ class Claim:
             raise ValueError("n_start must be >= 0")
         if isinstance(self.kind, Constant) and not 0 <= self.kind.residue < self.modulus:
             raise ValueError("constant residue must be reduced")
-        if isinstance(self.kind, Predicate) and self.kind.name not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.kind.name!r}")
-        first = self.l * self.n_start + self.b
-        if self.kind == Predicate("odd-divisor-formula") and first < 2:
-            raise ValueError(
-                f"predicate odd-divisor-formula needs arguments >= 2, but "
-                f"ap.n_start and ap.b give a first argument l*n_start + b = {first}"
-            )
+        if isinstance(self.kind, Predicate):
+            if self.kind.name not in PREDICATES:
+                raise ValueError(f"unknown predicate {self.kind.name!r}")
+            first = self.l * self.n_start + self.b
+            if self.kind.name == "odd-divisor-formula" and first < 2:
+                raise ValueError(
+                    f"predicate odd-divisor-formula needs arguments >= 2, but "
+                    f"ap.n_start and ap.b give a first argument l*n_start + b = {first}"
+                )
 
     def to_json(self) -> dict:
         if isinstance(self.kind, Constant):

@@ -11,6 +11,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -111,7 +112,7 @@ class Family:
     def ncolor(cls) -> "Family":
         return cls("ncolor")
 
-    @property
+    @functools.cached_property
     def token(self) -> str:
         """Compact stable string form, e.g. 'plk4' or 'restricted:1,2,2'."""
         if self.kind == "plk":

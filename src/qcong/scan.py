@@ -9,7 +9,9 @@ rather than candidates.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,19 +75,19 @@ def _scan_claim(family: Family, modulus: int, l: int, b: int, residue: int) -> C
 def _finding(cfg: ScanConfig, l: int, b: int, residue: int, support: int,
              known: dict) -> Finding:
     claim = _scan_claim(cfg.family, cfg.modulus, l, b, residue)
-    status = "candidate"
-    key = (cfg.family, cfg.modulus, l, b, residue)
-    if key in known:
-        status = f"matches-known:{known[key]}"
+    label = known.get((l, b, residue))
+    status = "candidate" if label is None else f"matches-known:{label}"
     return Finding(claim, support, cfg.bound, status)
 
 
+@functools.cache
 def _known_constant_claims() -> dict:
+    """Catalog labels of the constant claims: (family, modulus) -> (l, b, c) -> label."""
     known: dict = {}
     for c in builtin_suite():
         if isinstance(c, Claim) and isinstance(c.kind, Constant):
-            key = (c.family, c.modulus, c.l, c.b, c.kind.residue)
-            known.setdefault(key, c.label)
+            rows = known.setdefault((c.family, c.modulus), {})
+            rows.setdefault((c.l, c.b, c.kind.residue), c.label)
     return known
 
 
@@ -96,6 +98,49 @@ _PREFIX_ROWS = 8
 def _check_ring(series: Series, modulus: int) -> None:
     if series.ring != Mod(modulus):
         raise ValueError(f"series ring {series.ring!r} is not Z/{modulus}")
+
+
+def _checked_period(cfg: ScanConfig, arr: np.ndarray) -> int | None:
+    """Kwong's period of a restricted family mod 2^r, if the coefficients have it.
+
+    The period is trusted only after the truncation shows it: it fits in the
+    coefficients read and every one repeats after it.  A series that fails
+    (a caller's ``series=`` need not be the family's) gets None.
+    """
+    if cfg.family.kind != "restricted":
+        return None
+    from .periodicity import kwong_period  # only restricted scans pay for it
+
+    period = kwong_period(cfg.family.parts, 2, cfg.modulus.bit_length() - 1).period
+    if period > arr.size or not np.array_equal(arr[period:], arr[:-period]):
+        return None
+    return period
+
+
+def _constant_columns(arr: np.ndarray, bound: int, l: int, lo: int,
+                      zero: bool) -> np.ndarray:
+    """The constant columns b >= lo of the table for l, and b = 0 when zero.
+
+    The first rows are read for every column; a column whose values already
+    differ there is dropped, and only the survivors are read to the bound.
+    """
+    head = arr[: _PREFIX_ROWS * l].reshape(_PREFIX_ROWS, l)
+    alive = (head[2:] == head[1]).all(axis=0)
+    alive[1:] &= head[0, 1:] == head[1, 1:]  # row 0 of b = 0 is a(0)
+    alive[1:lo] = False
+    alive[0] &= zero
+    b = np.flatnonzero(alive)
+    if not b.size:
+        return b
+    rows = (bound + 1) // l
+    table = arr[: rows * l].reshape(rows, l)[:, b]
+    residue = table[1]
+    same = (table[2:] == residue).all(axis=0)
+    same &= (table[0] == residue) | (b == 0)
+    tail = arr[rows * l :]  # the last, partial row
+    inside = b < tail.size
+    same[inside] &= tail[b[inside]] == residue[inside]
+    return b[same]
 
 
 def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[Finding]:
@@ -109,6 +154,12 @@ def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[F
     For each l the coefficients are read as a table with one row per n and
     one column per b.  A column whose first rows already differ is dropped;
     only the surviving columns are compared over their whole progression.
+
+    A restricted family's series is purely periodic with Kwong's period P
+    (checked on the coefficients, see ``_checked_period``).  Then column b of
+    l repeats with period T = P/gcd(l, P) in n, and once it has T members it
+    has run through every coefficient of one period in class b mod gcd(l, P):
+    it is constant exactly when that class is, and no row of it is read.
     """
     if series is None:
         series = build_series(cfg.family, cfg.bound, Mod(cfg.modulus))
@@ -116,38 +167,50 @@ def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[F
     _require_order(series, cfg.bound, "scan")
     bound = cfg.bound
     arr = series._c[: bound + 1]
-    known = _known_constant_claims()
-    reported: set[tuple[int, int, int]] = set()
+    period = _checked_period(cfg, arr)
+    classes: dict[int, np.ndarray] = {}  # gcd(l, P) -> its constant classes
+    known = _known_constant_claims().get((cfg.family, cfg.modulus), {})
+    reported: dict[int, np.ndarray] = {}  # l -> residue reported at each b, or -1
     findings: list[Finding] = []
     for l in range(1, cfg.l_max + 1):
         # b = 1 has the most members; support only shrinks as l grows, and
         # min_support >= 10 leaves at least 9 > _PREFIX_ROWS full rows here
         if (bound - 1) // l + 1 < cfg.min_support:
             break
-        head = arr[: _PREFIX_ROWS * l].reshape(_PREFIX_ROWS, l)
-        alive = (head[2:] == head[1]).all(axis=0)
-        alive[1:] &= head[0, 1:] == head[1, 1:]  # row 0 of b = 0 is a(0)
-        b = np.flatnonzero(alive)
+        lo, zero = 1, True  # the columns b >= lo, and b = 0 if zero, are read
+        b = None
+        if period is not None:
+            g = math.gcd(l, period)
+            t = period // g
+            # b >= 1 has t members up to b = bound - (t - 1) l; b = 0, whose
+            # members start at n = l, has them when bound >= t l
+            lo = min(l, max(1, bound - (t - 1) * l + 1))
+            zero = bound < t * l
+            if g not in classes:
+                one = arr[:period].reshape(t, g)
+                classes[g] = np.flatnonzero((one == one[0]).all(axis=0))
+            if classes[g].size:
+                b = (np.arange(0, lo, g)[:, None] + classes[g]).ravel()
+                b = b[(b < lo) & ((b > 0) | (not zero))]
+        if lo < l or zero:
+            read = _constant_columns(arr, bound, l, lo, zero)
+            b = read if b is None else np.sort(np.concatenate([b, read]))
+        if b is None or not b.size:
+            continue
+        first = np.where(b == 0, l, b)  # each column's first member
+        support = (bound - first) // l + 1
+        residue = arr[first]
+        new = support >= cfg.min_support
+        for d, residues in reported.items():
+            if l % d == 0:  # (l, b, c) is implied by (d, b mod d, c)
+                new &= residues[b % d] != residue
+        b, residue, support = b[new], residue[new], support[new]
         if not b.size:
             continue
-        support = (bound - np.where(b == 0, l, b)) // l + 1
-        keep = support >= cfg.min_support
-        b, support = b[keep], support[keep]
-        rows = (bound + 1) // l
-        table = arr[: rows * l].reshape(rows, l)[:, b]
-        residue = table[1]
-        same = (table[2:] == residue).all(axis=0)
-        same &= (table[0] == residue) | (b == 0)
-        tail = arr[rows * l :]  # the last, partial row
-        inside = b < tail.size
-        same[inside] &= tail[b[inside]] == residue[inside]
-        divisors = [d for d in range(1, l) if l % d == 0]
-        for col, res, sup in zip(b[same].tolist(), residue[same].tolist(),
-                                 support[same].tolist()):
-            if any((d, col % d, res) in reported for d in divisors):
-                continue
-            reported.add((l, col, res))
-            findings.append(_finding(cfg, l, col, res, sup, known))
+        reported[l] = np.full(l, -1)
+        reported[l][b] = residue
+        findings.extend(_finding(cfg, l, col, res, sup, known) for col, res, sup
+                        in zip(b.tolist(), residue.tolist(), support.tolist()))
     return findings
 
 
@@ -165,16 +228,25 @@ def empirical_density(family: Family, modulus: int, bound: int,
 
 
 def persist_findings(findings, path) -> None:
-    """Append findings to a JSONL file, one per line."""
+    """Append findings to a JSONL file, one per line, in one write."""
+    text = "".join(json.dumps(f.to_json(), sort_keys=True) + "\n" for f in findings)
     with open(path, "a", encoding="utf-8") as fh:
-        for finding in findings:
-            fh.write(json.dumps(finding.to_json(), sort_keys=True) + "\n")
+        fh.write(text)
+
+
+def _decoded_family(token, families: dict) -> Family:
+    """The family a token names, decoded once per ``families`` cache."""
+    family = families.get(token) if isinstance(token, str) else None
+    if family is None:
+        family = families[token] = Family.from_token(token)
+    return family
 
 
 def load_findings(path) -> list[Finding]:
     """Round-trip JSONL findings; malformed lines carry their line number."""
     findings: list[Finding] = []
     seen: set[str] = set()
+    families: dict[str, Family] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -182,7 +254,7 @@ def load_findings(path) -> list[Finding]:
                 continue
             try:
                 raw = json.loads(line)
-                claim = _scan_claim(Family.from_token(raw["family"]), raw["modulus"],
+                claim = _scan_claim(_decoded_family(raw["family"], families), raw["modulus"],
                                     raw["l"], raw["b"], raw["c"])
                 finding = Finding(claim, raw["support"], raw["bound"], raw["status"])
             except (KeyError, ValueError, TypeError) as exc:

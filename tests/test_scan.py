@@ -1,11 +1,12 @@
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcong.congruence import Claim, Constant, builtin_suite
 from qcong.genfun import Family
+from qcong.periodicity import kwong_period
 from qcong.scan import (
     Finding,
     ScanConfig,
@@ -54,25 +55,39 @@ def scanned(cfg, series):
 
 
 @st.composite
-def _patterned_series(draw, moduli):
+def _patterned_series(draw, moduli, periods=st.integers(1, 16),
+                      bounds=st.integers(1, 200), pure=False):
     """A periodic series with a free constant term and a few changed values.
 
     Few distinct values and short periods make many progressions constant,
     so the scan has findings to prune; the changed values may sit anywhere,
-    including far beyond the first rows of the (row, b) table.
+    including far beyond the first rows of the (row, b) table.  A pure
+    series keeps its pattern everywhere, constant term included.
     """
     m = draw(st.sampled_from(moduli))
-    bound = draw(st.integers(1, 200))
+    bound = draw(bounds)
     order = bound + draw(st.integers(0, 3))
-    period = draw(st.integers(1, 16))
+    period = draw(periods)
     values = st.integers(0, min(m - 1, draw(st.integers(0, 3))))
     pattern = draw(st.lists(values, min_size=period, max_size=period))
     coeffs = [pattern[i % period] for i in range(order + 1)]
+    if pure:
+        return Series(Mod(m), order, coeffs), bound
     coeffs[0] = draw(st.integers(0, m - 1))
     for i, v in draw(st.lists(st.tuples(st.integers(0, order),
                                         st.integers(0, m - 1)), max_size=3)):
         coeffs[i] = v
     return Series(Mod(m), order, coeffs), bound
+
+
+@st.composite
+def _restricted_family(draw, max_period=96):
+    """(family, 2^r, Kwong period) for a few small parts, r = 1..4."""
+    r = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    period = kwong_period(parts, 2, r).period
+    assume(period <= max_period)
+    return Family.restricted(parts), 2**r, period
 
 
 class TestScanConfig:
@@ -200,6 +215,66 @@ class TestScanMatchesLoop:
             scan_ap_congruences(cfg, series=series)
 
 
+class TestPeriodRoute:
+    """Restricted families are scanned from one Kwong period once the
+    coefficients show it; every answer must still be the loop's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_restricted_family(), st.data())
+    def test_restricted_families(self, drawn, data):
+        family, m, period = drawn
+        # below one period, near it, and at several periods
+        periods = data.draw(st.integers(0, 12), label="periods")
+        offset = data.draw(st.integers(-(period // 2), 2), label="offset")
+        bound = max(1, periods * period + offset)
+        series = build_series(family, bound, Mod(m))
+        l_max = data.draw(st.integers(1, 2 * period + 3), label="l_max")
+        min_support = data.draw(st.integers(10, 25), label="min_support")
+        cfg = ScanConfig(family, m, l_max, bound, min_support)
+        assert scanned(cfg, series) == scan_reference(cfg, series)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_restricted_family(), st.data())
+    def test_patterned_series_with_period_dividing_kwong_period(self, drawn, data):
+        family, m, period = drawn
+        divisors = [d for d in range(1, period + 1) if period % d == 0]
+        # an impure series is not periodic, and the scan must notice
+        pure = data.draw(st.booleans(), label="pure")
+        series, bound = data.draw(_patterned_series(
+            [m], st.sampled_from(divisors), st.integers(1, 6 * period), pure))
+        l_max = data.draw(st.integers(1, 2 * period + 3), label="l_max")
+        cfg = ScanConfig(family, m, l_max, bound)
+        assert scanned(cfg, series) == scan_reference(cfg, series)
+
+    def test_series_changed_after_its_first_period_falls_back(self):
+        family = Family.restricted([1, 2, 2, 3, 3])
+        assert kwong_period([1, 2, 2, 3, 3], 2, 3).period == 96
+        series = build_series(family, 384, Mod(8))
+        cfg = ScanConfig(family, 8, 48, 384, min_support=10)
+        assert (12, 4, 0, 32) in scanned(cfg, series)
+        coeffs = list(series._c)
+        coeffs[124] = (coeffs[124] + 1) % 8  # 124 = 12*10 + 4, past one period
+        changed = Series(Mod(8), 384, coeffs)
+        found = scanned(cfg, changed)
+        assert found == scan_reference(cfg, changed)
+        assert all((l, b) != (12, 4) for l, b, _, _ in found)
+        assert (24, 16, 0, 16) in found  # no longer implied by (12, 4)
+
+    @pytest.mark.parametrize("hot, column", [(8, (5, 1, 0, 11)), (0, (5, 0, 0, 11))])
+    def test_column_one_member_short_of_a_period(self, hot, column):
+        # Kwong's period of parts {1, 3} mod 4 is 12, and gcd(5, 12) = 1.  Up
+        # to 55 the columns 5n + 1 (n >= 0) and 5n (n >= 1) have 11 members,
+        # one short of a period: each misses one residue mod 12, the one where
+        # this series is 1, so both are constant although no class mod 1 is.
+        family = Family.restricted([1, 3])
+        assert kwong_period([1, 3], 2, 2).period == 12
+        series = Series(Mod(4), 55, [int(n % 12 == hot) for n in range(56)])
+        cfg = ScanConfig(family, 4, 6, 55, min_support=10)
+        found = scanned(cfg, series)
+        assert found == scan_reference(cfg, series)
+        assert column in found
+
+
 class TestDensity:
     @settings(max_examples=100, deadline=None)
     @given(_patterned_series(list(range(2, 65))), st.data())
@@ -267,6 +342,26 @@ class TestPersistence:
             back = load_findings(path)
         assert back == findings
         assert len(caught) == 1
+
+    def test_families_share_a_file(self, tmp_path):
+        # each family token is decoded once per file, so two must not mix
+        plk6 = scan_ap_congruences(ScanConfig(Family.k_rowed(6), 4, 15, 1500))[:2]
+        parts = scan_ap_congruences(
+            ScanConfig(Family.restricted([2, 1]), 2, 4, 200))[:2]
+        path = tmp_path / "findings.jsonl"
+        persist_findings(plk6 + parts + plk6[1:], path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            back = load_findings(path)
+        assert back == plk6 + parts
+        assert back[2].claim.family.token == "restricted:1,2"
+
+    def test_family_token_must_be_a_string(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"family": ["plk4"], "modulus": 4, "l": 2, "b": 0, "c": 0, '
+                        '"support": 20, "bound": 40, "status": "candidate"}\n')
+        with pytest.raises(ValueError, match="line 1: family token must be a string"):
+            load_findings(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
