@@ -36,20 +36,15 @@ _EXPORTS = {
     ),
     "genfun": (
         "Family",
-        "Multiset",
         "build_series",
         "phi_series",
     ),
     "periodicity": (
         "InsufficientOrder",
         "PeriodReport",
-        "b_value",
         "cross_check",
-        "ell_free_part",
         "empirical_period",
         "kwong_period",
-        "m_value",
-        "ord_prime",
     ),
     "scan": (
         "Finding",

@@ -100,8 +100,7 @@ def _select_claims(args):
 
 def _report_line(r) -> str:
     if r.passed:
-        note = f"  ({r.note})" if r.note else ""
-        return f"PASS {r.claim.label}  members={r.members} bound={r.bound}{note}"
+        return f"PASS {r.claim.label}  members={r.members} bound={r.bound}"
     if r.outcome == "vacuous":
         return f"VACUOUS {r.claim.label}  members=0 bound={r.bound}"
     n, arg, got, want = r.counterexample
@@ -161,13 +160,12 @@ def _cmd_period(args) -> int:
 _COUNT_ORDER = 200
 
 
-def _count_exceeds(n: int, max_rows: int | None, budget: int) -> bool:
-    """Whether there are more than ``budget`` plane overpartitions of n.
+def _count_exceeds(n: int, family: Family, budget: int) -> bool:
+    """Whether plane or plk ``family`` has more than ``budget`` objects of size n.
 
     The oracle charges one budget step per object it yields, so such a run
     can only end with the budget exhausted; its count decides that at once.
     """
-    family = Family.k_rowed(max_rows) if max_rows else Family.plane()
     order = min(n, _COUNT_ORDER)
     return genfun.build_series(family, order)[order] > budget
 
@@ -179,15 +177,11 @@ def _cmd_enumerate(args) -> int:
     n = args.n
     if n < 0:
         raise ValueError(f"--n must be >= 0, got {n}")
-    max_rows = args.max_rows
-    if max_rows is None:
-        max_rows = args.k if family.kind == "plk" else None
-    elif max_rows < 1:
-        raise ValueError(f"--max-rows must be >= 1, got {max_rows}")
+    max_rows = family.k
     budget = oracles.DEFAULT_BUDGET if args.budget is None else args.budget
     diagrams: list[str] = []
     if family.kind in ("plane", "plk"):
-        if _count_exceeds(n, max_rows, budget):
+        if _count_exceeds(n, family, budget):
             raise ValueError("enumeration budget exceeded")
         try:
             if args.diagrams:
@@ -314,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="brute-force count small objects")
     _add_family_arguments(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-rows", type=int)
     p.add_argument("--diagrams", action="store_true",
                    help="render each plane overpartition")
     p.add_argument("--budget", type=int)

@@ -309,18 +309,23 @@ def _require_order(series: Series, bound: int, noun: str = "verification") -> No
         )
 
 
-def _report(claim, bound: int, args, got, want, b: int) -> Report:
-    """Compare the members ``got`` at arguments ``args`` with ``want``.
+def _report(claim, bound: int, got, want, b: int, args=None) -> Report:
+    """Compare the members ``got`` with ``want``, an array or one residue.
 
-    The first mismatch is the counterexample (n, arg, got, want) with
-    n = (arg - b) // l; no members is vacuous; otherwise the claim passes.
+    Member i is n = n_start + i at argument l*n + b, unless ``args`` lists
+    the arguments.  The first mismatch is the counterexample (n, arg, got,
+    want); no members is vacuous; otherwise the claim passes.
     """
     bad = np.flatnonzero(got != want)
     if bad.size:
         i = int(bad[0])
-        arg = int(args[i])
+        if args is None:
+            n = claim.n_start + i
+        else:
+            n = (int(args[i]) - b) // claim.l
+        expected = want[i] if np.ndim(want) else want
         return Report(claim, bound, i + 1, "counterexample",
-                      ((arg - b) // claim.l, arg, int(got[i]), int(want[i])))
+                      (n, claim.l * n + b, int(got[i]), int(expected)))
     if got.size == 0:
         return Report(claim, bound, 0, "vacuous",
                       note="no progression members within bound")
@@ -334,19 +339,18 @@ def verify_claim(claim: Claim, store: SeriesStore, bound: int) -> Report:
     m = claim.modulus
     ap = slice(claim.l * claim.n_start + claim.b, bound + 1, claim.l)
     got = series._c[ap]
-    args = np.arange(ap.start, ap.stop, ap.step, dtype=np.int64)
     if isinstance(claim.kind, Constant):
-        want = np.full(got.size, claim.kind.residue, dtype=np.int64)
-    elif isinstance(claim.kind, Equivalent):
+        return _report(claim, bound, got, claim.kind.residue, claim.b)
+    if isinstance(claim.kind, Equivalent):
         other = store.get(claim.kind.other, m)
         _require_order(other, bound)
-        want = other._c[ap]
-    else:
-        want, keep = PREDICATES[claim.kind.name](args)
-        want %= m
-        if keep is not None:
-            args, got, want = args[keep], got[keep], want[keep]
-    return _report(claim, bound, args, got, want, claim.b)
+        return _report(claim, bound, got, other._c[ap], claim.b)
+    args = np.arange(ap.start, ap.stop, ap.step, dtype=np.int64)
+    want, keep = PREDICATES[claim.kind.name](args)
+    want %= m
+    if keep is not None:
+        args, got, want = args[keep], got[keep], want[keep]
+    return _report(claim, bound, got, want, claim.b, args)
 
 
 def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
@@ -365,9 +369,7 @@ def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
         # both summands are below m < 2^62, so the sum cannot overflow int64
         total = (total + s._c[start : start + l * count : l]) % m
     # a sum claim reports the first term's argument l*n + b_1
-    args = l * np.arange(n0, n0 + count, dtype=np.int64) + offsets[0]
-    want = np.full(count, claim.residue, dtype=np.int64)
-    return _report(claim, bound, args, total, want, offsets[0])
+    return _report(claim, bound, total, claim.residue, offsets[0])
 
 
 def verify(claims, store: SeriesStore, bound: int) -> list[Report]:

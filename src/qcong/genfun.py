@@ -25,53 +25,19 @@ FAMILY_KINDS = ("over", "oddover", "plane", "plk", "restricted", "ncolor")
 
 
 @dataclass(frozen=True)
-class Multiset:
-    """A finite multiset of positive integer parts, canonically merged."""
-
-    entries: tuple[tuple[int, int], ...]  # (part, multiplicity), sorted by part
-
-    def __post_init__(self) -> None:
-        merged: dict[int, int] = {}
-        for part, mult in self.entries:
-            if part < 1 or mult < 1:
-                raise ValueError(f"parts and multiplicities must be >= 1: ({part}, {mult})")
-            merged[part] = merged.get(part, 0) + mult
-        if not merged:
-            raise ValueError("multiset must be nonempty")
-        object.__setattr__(
-            self, "entries", tuple(sorted(merged.items()))
-        )
-
-    @classmethod
-    def from_parts(cls, parts) -> "Multiset":
-        """Build from an iterable of parts with repetition, e.g. [1,2,2,3,3]."""
-        return cls(tuple((int(p), 1) for p in parts))
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        """All parts expanded with multiplicity."""
-        return tuple(p for p, mult in self.entries for _ in range(mult))
-
-    def lcm(self) -> int:
-        return math.lcm(*(p for p, _ in self.entries))
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
-
-@dataclass(frozen=True)
 class Family:
     """Identifier for one of the partition families with generating functions.
 
     kind 'plk' is the k-rowed plane overpartition family and needs k >= 1;
-    'restricted' is partitions into parts from a multiset; 'ncolor' shares
-    the plane-overpartition generating function by definition (the claim is
-    asserted against the enumeration oracle, not assumed silently).
+    'restricted' is partitions into parts from a multiset, held as the sorted
+    tuple of its parts with repeats; 'ncolor' shares the plane-overpartition
+    generating function by definition (the claim is asserted against the
+    enumeration oracle, not assumed silently).
     """
 
     kind: str
     k: int | None = None
-    parts: Multiset | None = None
+    parts: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
@@ -84,6 +50,12 @@ class Family:
         if self.kind == "restricted":
             if self.parts is None:
                 raise ValueError("restricted family needs a part multiset")
+            parts = tuple(sorted(int(p) for p in self.parts))
+            if not parts:
+                raise ValueError("multiset must be nonempty")
+            if parts[0] < 1:
+                raise ValueError(f"parts must be >= 1, got {parts[0]}")
+            object.__setattr__(self, "parts", parts)
         elif self.parts is not None:
             raise ValueError(f"family {self.kind!r} does not take parts")
 
@@ -105,8 +77,8 @@ class Family:
 
     @classmethod
     def restricted(cls, parts) -> "Family":
-        ms = parts if isinstance(parts, Multiset) else Multiset.from_parts(parts)
-        return cls("restricted", parts=ms)
+        """Partitions into parts from an iterable of ints, repeats kept."""
+        return cls("restricted", parts=parts)
 
     @classmethod
     def ncolor(cls) -> "Family":
@@ -118,7 +90,7 @@ class Family:
         if self.kind == "plk":
             return f"plk{self.k}"
         if self.kind == "restricted":
-            return f"restricted:{self.parts}"
+            return "restricted:" + ",".join(map(str, self.parts))
         return self.kind
 
     @classmethod
@@ -149,8 +121,8 @@ class Family:
 
 def _family_factors(family: Family, order: int):
     if family.kind == "restricted":
-        for part, mult in family.parts.entries:
-            yield (-1, part, -mult)
+        for part in family.parts:
+            yield (-1, part, -1)
         return
     for n in range(1, order + 1):
         if family.kind == "over":

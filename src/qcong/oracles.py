@@ -89,11 +89,11 @@ def count_overpartitions(n: int, odd_parts_only: bool = False) -> int:
 def count_partitions_multiset(n: int, parts) -> int:
     """Partitions of n into parts from a multiset, entries used independently.
 
-    ``parts`` is an iterable of parts with repetition (or anything exposing
-    ``.parts``); each entry may be used any number of times, and repeated
-    entries of equal value count as distinct sources.
+    ``parts`` is an iterable of parts with repetition; each entry may be used
+    any number of times, and repeated entries of equal value count as
+    distinct sources.
     """
-    entries = tuple(parts.parts) if hasattr(parts, "parts") else tuple(parts)
+    entries = tuple(parts)
     if any(p < 1 for p in entries):
         raise ValueError("parts must be positive")
 

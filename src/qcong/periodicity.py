@@ -10,11 +10,12 @@ explicitly built series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .genfun import Family, Multiset, build_series
+from .genfun import Family, build_series
 from .series import Mod, Series
 
 
@@ -22,68 +23,12 @@ class InsufficientOrder(ValueError):
     """Series is too short for a trustworthy period scan."""
 
 
-def is_prime(n: int) -> bool:
-    """Trial division; intended for moduli up to about 10^6."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _check_prime(ell: int) -> None:
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-
-
-def ord_prime(n: int, ell: int) -> int:
-    """Exponent of the prime ell in n >= 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_prime(ell)
-    e = 0
-    while n % ell == 0:
-        n //= ell
-        e += 1
-    return e
-
-
-def ell_free_part(n: int, ell: int) -> int:
-    """The cofactor m in n = ell^e * m with ell not dividing m."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_prime(ell)
-    while n % ell == 0:
-        n //= ell
-    return n
-
-
-def _as_multiset(parts) -> Multiset:
-    return parts if isinstance(parts, Multiset) else Multiset.from_parts(parts)
-
-
-def b_value(parts, ell: int) -> int:
-    """Least b with ell^b >= sum over the multiset of ell^ord_ell(part)."""
-    ms = _as_multiset(parts)
-    _check_prime(ell)
-    total = sum(mult * ell ** ord_prime(part, ell) for part, mult in ms.entries)
-    b = 0
-    while ell**b < total:
-        b += 1
-    return b
-
-
-def m_value(parts, ell: int) -> int:
-    """The ell-free part of lcm over the multiset."""
-    ms = _as_multiset(parts)
-    return ell_free_part(ms.lcm(), ell)
+# Deterministic Miller-Rabin: the first 13 prime bases decide primality
+# exactly below the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017).  The first 12 alone pass the composite
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 @dataclass(frozen=True)
@@ -97,7 +42,7 @@ class PeriodReport:
 
     prime: int
     power: int
-    multiset: Multiset
+    parts: tuple[int, ...]
     b_value: int
     m_value: int
     period: int
@@ -108,7 +53,7 @@ class PeriodReport:
         return {
             "prime": self.prime,
             "power": self.power,
-            "parts": list(self.multiset.parts),
+            "parts": list(self.parts),
             "b_value": self.b_value,
             "m_value": self.m_value,
             "period": self.period,
@@ -118,20 +63,65 @@ class PeriodReport:
 
 
 def kwong_period(parts, ell: int, power: int) -> PeriodReport:
-    """Closed-form minimum period of the parts-from-S series mod ell^power."""
-    ms = _as_multiset(parts)
+    """Closed-form minimum period of the parts-from-S series mod ell^power.
+
+    ell must be a prime below 3.3 * 10^24, where Miller-Rabin over the
+    first 13 prime bases is exact; anything else raises ValueError.
+    """
+    parts = Family.restricted(parts).parts
     if power < 1:
         raise ValueError("power must be >= 1")
-    b = b_value(ms, ell)
-    m = m_value(ms, ell)
+    if ell >= _MR_LIMIT:
+        raise ValueError(f"prime {ell} is not below {_MR_LIMIT}, the limit of "
+                         "the primality test")
+    if ell < 2 or not _strong_probable_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    # l^b is the least power of l at least sum_S l^ord_l(s); m is the
+    # l-free part of lcm(S)
+    total = 0
+    for part in parts:
+        weight = 1
+        while part % ell == 0:
+            part //= ell
+            weight *= ell
+        total += weight
+    b = 0
+    while ell**b < total:
+        b += 1
+    m = math.lcm(*parts)
+    while m % ell == 0:
+        m //= ell
     return PeriodReport(
         prime=ell,
         power=power,
-        multiset=ms,
+        parts=parts,
         b_value=b,
         m_value=m,
         period=ell ** (power + b - 1) * m,
     )
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Whether n >= 2 passes Miller-Rabin to every base in ``_MR_BASES``."""
+    if n in _MR_BASES:
+        return True
+    if any(n % p == 0 for p in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def empirical_period(series: Series, max_period: int, guard: int = 3) -> int | None:
@@ -169,7 +159,7 @@ def cross_check(parts, ell: int, power: int, guard: int = 3) -> PeriodReport:
     report = kwong_period(parts, ell, power)
     order = guard * report.period + report.period // 2 + 8
     series = build_series(
-        Family.restricted(report.multiset), order, Mod(ell**report.power)
+        Family.restricted(report.parts), order, Mod(ell**report.power)
     )
     found = empirical_period(series, report.period, guard)
     return replace(report, empirical_period=found,

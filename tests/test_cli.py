@@ -319,17 +319,26 @@ class TestPeriod:
         )
         assert code == 1 and "not prime" in err
 
+    def test_large_prime_exits_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "period", "--parts", "1,2",
+             "--prime", "1000000000000000003", "--power", "1"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "period: 2000000000000000006" in proc.stdout
+
+    def test_prime_above_the_test_limit_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "period", "--parts", "1,2", "--prime",
+                             str(2**127 - 1), "--power", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: prime ") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_plane(self, capsys):
         code, out, _ = run(capsys, "enumerate", "plane", "--n", "3")
         assert out.strip() == "16"
-
-    def test_plane_single_row(self, capsys):
-        code, out, _ = run(
-            capsys, "enumerate", "plane", "--n", "3", "--max-rows", "1"
-        )
-        assert out.strip() == "8"
 
     def test_plk_uses_k(self, capsys):
         code, out, _ = run(capsys, "enumerate", "plk", "--k", "1", "--n", "3")
@@ -388,11 +397,22 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("rows", ["0", "-1"])
     def test_max_rows_below_one_is_usage_error(self, capsys, rows):
-        code, out, err = run(
-            capsys, "enumerate", "plane", "--n", "3", "--max-rows", rows
-        )
+        code, out, err = run(capsys, "enumerate", "plk", "--k", rows, "--n", "3")
         assert code == 1 and out == ""
-        assert err == f"error: --max-rows must be >= 1, got {rows}\n"
+        assert err == "error: plk family needs k >= 1\n"
+
+    def test_max_rows_is_the_row_bound_of_plk(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "plk", "--k", "4", "--n", "5",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"family": "plk4", "n": 5, "max_rows": 4,
+                                   "count": 86}
+        _, out, _ = run(capsys, "enumerate", "over", "--n", "5", "--format", "json")
+        assert json.loads(out)["max_rows"] is None
+
+    def test_max_rows_flag_is_gone(self):
+        with pytest.raises(SystemExit, match="unrecognized arguments: --max-rows 2"):
+            main(["enumerate", "plk", "--k", "4", "--max-rows", "2", "--n", "5"])
 
 
 class TestMemoryError:

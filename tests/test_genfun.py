@@ -14,7 +14,8 @@ from qcong.congruence import (
     reference_bound,
     verify_claim,
 )
-from qcong.genfun import Family, Multiset, build_series, phi_series
+from qcong.genfun import Family, build_series, phi_series
+from qcong.periodicity import kwong_period
 from qcong.series import EXACT, Mod, Series, binomial_product
 from references import (
     jacobi_specializations,
@@ -27,22 +28,38 @@ from references import (
 
 
 class TestMultiset:
+    # a restricted family holds its part multiset as a sorted tuple
     def test_merges_and_sorts(self):
-        ms = Multiset(((3, 1), (1, 1), (3, 1), (2, 2)))
-        assert ms.entries == ((1, 1), (2, 2), (3, 2))
-        assert ms.parts == (1, 2, 2, 3, 3)
+        fam = Family.restricted([3, 1, 3, 2, 2])
+        assert fam.parts == (1, 2, 2, 3, 3)
+        assert fam == Family.restricted((1, 2, 2, 3, 3))
+        assert hash(fam) == hash(Family.restricted(iter([2, 3, 1, 2, 3])))
+        assert fam.token == "restricted:1,2,2,3,3"
 
     def test_from_parts(self):
-        assert Multiset.from_parts([2, 1, 2]).parts == (1, 2, 2)
+        assert Family.restricted([2, 1, 2]).parts == (1, 2, 2)
+        assert Family("restricted", parts=[2, 1, 2]) == Family.restricted([1, 2, 2])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Multiset(((0, 1),))
-        with pytest.raises(ValueError):
-            Multiset(())
+        with pytest.raises(ValueError, match=">= 1"):
+            Family.restricted([0])
+        with pytest.raises(ValueError, match=">= 1"):
+            Family.restricted([3, -1])
+        with pytest.raises(ValueError, match="nonempty"):
+            Family.restricted(())
 
     def test_lcm(self):
-        assert Multiset.from_parts([1, 1, 2, 2, 2, 4, 4, 5]).lcm() == 20
+        # the l-free part of lcm(1, 2, 4, 5) = 20 is all of it for l = 3
+        parts = [1, 1, 2, 2, 2, 4, 4, 5]
+        assert kwong_period(parts, 3, 1).m_value == 20
+
+    def test_one_factor_per_part_with_repeats(self):
+        fam = Family.restricted([3, 1, 3])
+        assert list(genfun._family_factors(fam, 10)) == [
+            (-1, 1, -1), (-1, 3, -1), (-1, 3, -1)]
+        for ring in (EXACT, Mod(8)):
+            merged = binomial_product(ring, 40, [(-1, 1, -1), (-1, 3, -2)])
+            assert build_series(fam, 40, ring).tolist() == merged.tolist()
 
 
 class TestFamily:

@@ -34,9 +34,10 @@ class TestPartitionsMultiset:
         assert count_partitions_multiset(0, [3, 7]) == 1
 
     def test_accepts_multiset_object(self):
-        from qcong.genfun import Multiset
-
-        assert count_partitions_multiset(4, Multiset.from_parts([1, 2, 2, 3, 3])) == 8
+        # a restricted family's parts, or any iterable of them
+        family = Family.restricted([3, 2, 1, 3, 2])
+        assert count_partitions_multiset(4, family.parts) == 8
+        assert count_partitions_multiset(4, iter([3, 2, 1, 3, 2])) == 8
 
     def test_matches_series(self):
         parts = [1, 2, 2, 3, 3]

@@ -1,18 +1,14 @@
 import random
+import time
 
 import pytest
 
 from qcong.genfun import Family, build_series
 from qcong.periodicity import (
     InsufficientOrder,
-    b_value,
     cross_check,
-    ell_free_part,
     empirical_period,
-    is_prime,
     kwong_period,
-    m_value,
-    ord_prime,
 )
 from qcong.series import EXACT, Mod, Series
 from references import f_series
@@ -21,35 +17,77 @@ WORKED_EXAMPLE = [1, 1, 2, 2, 2, 4, 4, 5]
 
 
 class TestFactorizationHelpers:
+    # for a singleton multiset {s}, b is ord_l(s) and m is the l-free part of s
     def test_ord_and_free_part(self):
-        assert ord_prime(12, 2) == 2
-        assert ell_free_part(12, 2) == 3
-        assert ord_prime(20, 2) == 2
-        assert ell_free_part(20, 2) == 5
-        assert ord_prime(7, 3) == 0
-        assert ell_free_part(7, 3) == 7
+        for part, ell, ord_, free in ((12, 2, 2, 3), (20, 2, 2, 5), (7, 3, 0, 7)):
+            report = kwong_period([part], ell, 1)
+            assert (report.b_value, report.m_value) == (ord_, free)
 
     def test_prime_check(self):
-        with pytest.raises(ValueError):
-            ord_prime(10, 4)
-        with pytest.raises(ValueError):
-            ell_free_part(10, 1)
+        with pytest.raises(ValueError, match="not prime"):
+            kwong_period([10], 4, 1)
+        with pytest.raises(ValueError, match="not prime"):
+            kwong_period([10], 1, 1)
 
     def test_is_prime(self):
-        primes = [n for n in range(2, 40) if is_prime(n)]
+        primes = []
+        for n in range(-2, 40):
+            try:
+                kwong_period([1], n, 1)
+            except ValueError:
+                continue
+            primes.append(n)
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+class TestPrimeBound:
+    def test_large_prime_is_fast(self):
+        t0 = time.perf_counter()
+        report = kwong_period([1, 2], 10**18 + 3, 1)
+        assert time.perf_counter() - t0 < 1
+        assert (report.b_value, report.m_value) == (1, 2)
+        assert report.period == 2 * (10**18 + 3)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprime to base 2: 23 * 89
+            561,  # Carmichael number: 3 * 11 * 17
+            25,
+            1,
+            0,
+            3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            318665857834031151167461,  # to every prime base up to 37
+        ],
+    )
+    def test_composites_and_units_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            kwong_period([1, 2], n, 1)
+
+    def test_largest_primes_accepted(self):
+        # 2^61 - 1 is a Mersenne prime; the other is the largest prime below
+        # the limit of the test
+        for p in (2**61 - 1, 3317044064679887385961813):
+            assert kwong_period([3], p, 2).period == p * 3
+
+    def test_above_the_limit(self):
+        limit = 3317044064679887385961981
+        with pytest.raises(ValueError, match=f"not below {limit}"):
+            kwong_period([1, 2], limit, 1)
+        with pytest.raises(ValueError, match=f"not below {limit}"):
+            kwong_period([1, 2], 2**127 - 1, 1)
 
 
 class TestKwongParameters:
     def test_worked_example(self):
         # sum of 2-power parts is 2*1 + 3*2 + 2*4 + 1 = 17, so b = 5; the
         # 2-free part of lcm = 20 is 5
-        assert b_value(WORKED_EXAMPLE, 2) == 5
-        assert m_value(WORKED_EXAMPLE, 2) == 5
+        report = kwong_period(WORKED_EXAMPLE, 2, 1)
+        assert (report.b_value, report.m_value) == (5, 5)
 
     def test_five_seven(self):
-        assert b_value([5, 7], 2) == 1
-        assert m_value([5, 7], 2) == 35
+        report = kwong_period([5, 7], 2, 1)
+        assert (report.b_value, report.m_value) == (1, 35)
 
     def test_worked_example_periods(self):
         for power in (1, 2, 3):
@@ -75,7 +113,7 @@ class TestKwongParameters:
         for _ in range(30):
             parts = [rng.randint(1, 12) for _ in range(rng.randint(1, 5))]
             ell = rng.choice([2, 3, 5])
-            assert m_value(parts, ell) % ell != 0
+            assert kwong_period(parts, ell, 1).m_value % ell != 0
 
     def test_singleton_unit_part(self):
         # b is the least exponent with 2^b >= 1, which is 0: period 2^(N-1)
