@@ -113,6 +113,8 @@ def _report_line(r) -> str:
 def _cmd_verify(args) -> int:
     from . import congruence
 
+    if args.bound is not None and args.bound < 0:
+        raise ValueError(f"--bound must be >= 0, got {args.bound}")
     claims = _select_claims(args)
     if args.bound is None:
         reports = congruence.verify_at_reference(claims)

@@ -145,11 +145,14 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     The overpartition-type families are theta quotients and are built in
     quasi-linear time (modular rings) or O(N^1.5) (exact ring):
     over = 1/phi(-q), oddover = phi(q) * over(q^2) and
-    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  Over Z/2^r every
+    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  over is the Newton
+    inverse of phi(-q), except over Z/2^r with r <= ``_LIFT_MAX_BITS``,
+    where ``_over_by_lift`` lifts over = phi(q) (mod 4) one bit per level;
+    oddover and plk take over from here.  Over Z/2^r every
     exponent of that plk product is reduced by ``_balanced`` modulo
     M = 2^(r-1), since R(x)^M = 1 (mod 2M) for R(x) = (1+x)/(1-x) and
     plk = prod_n R(q^n)^min(k, n); a negative power of over is a power of
-    phi(-q), so no residue of k needs an inverse modulo 4.  plane and ncolor
+    phi(-q), so no plk modulo 2 to 32 needs an inverse.  plane and ncolor
     over Z/2^r take the residue-class route when ``_class_route`` allows it,
     and over Z the recurrence of ``_plane_exact``.  The other families go
     through the binomial kernel.
@@ -157,6 +160,9 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     if family.kind == "over":
+        half = _two_power_half(ring)  # 2^(r-1) over Z/2^r
+        if half is not None and half.bit_length() <= _LIFT_MAX_BITS:
+            return _over_by_lift(order, ring, half.bit_length())
         return phi_series(-1, order, ring).inverse_of_unit()
     if family.kind == "oddover":
         over_q2 = build_series(Family.overpartitions(), order // 2, ring)
@@ -310,10 +316,35 @@ def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
     return buf.astype(np.int64)
 
 
+# Over Z/2^r the 2-adic lift builds over for r <= _LIFT_MAX_BITS.  Its cost
+# grows with r and Newton's does not; at r = 6 the two measured within the
+# run-to-run drift, so larger r stay on Newton (README, design notes).
+_LIFT_MAX_BITS = 5
+
+
+def _over_by_lift(order: int, ring: Ring, bits: int) -> Series:
+    """The overpartition series over ``ring`` = Z/2^bits by a 2-adic lift.
+
+    Gauss's phi(q)*phi(-q) = phi(-q^2)^2 gives over(q) = phi(q)*over(q^2)^2,
+    so over = 1 (mod 2) and over = phi(q) (mod 4).  If O = over (mod 2^s)
+    with s >= 1 then O^2 = over^2 (mod 2^(s+1)), so each level
+    O <- phi(q) * O(q^2)^2 gains one bit: bits - 2 levels of one square at
+    half the order and one product, from order N >> (bits - 2) up to N.
+    """
+    if bits == 1:
+        return Series.one(ring, order)
+    out = phi_series(+1, order >> (bits - 2), ring)
+    for level in range(bits - 3, -1, -1):
+        n = order >> level
+        out = phi_series(+1, n, ring).mul(out.mul(out).inflate(2, n))
+    return out
+
+
 def _over_power(k: int, order: int, ring: Ring) -> Series:
     """over^k = phi(-q)^(-k) for any integer k; the series 1 for k = 0.
 
-    In a modular ring a positive k powers the Newton inverse over and a
+    In a modular ring a positive k powers over as ``build_series`` makes
+    it (the 2-adic lift modulo 2 to 32, else the Newton inverse) and a
     negative k powers phi(-q) itself, with no inverse.  Exact coefficients
     come from ``_sparse_power`` over the O(sqrt N) nonzero terms of
     phi(-q), O(N^1.5) in all.

@@ -30,6 +30,10 @@ class InsufficientOrder(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Python converts an int of more than 4300 digits to text only on request
+# (sys.set_int_max_str_digits), so a longer period could not be printed.
+_PERIOD_DIGITS = 4300
+
 
 @dataclass(frozen=True)
 class PeriodReport:
@@ -66,7 +70,8 @@ def kwong_period(parts, ell: int, power: int) -> PeriodReport:
     """Closed-form minimum period of the parts-from-S series mod ell^power.
 
     ell must be a prime below 3.3 * 10^24, where Miller-Rabin over the
-    first 13 prime bases is exact; anything else raises ValueError.
+    first 13 prime bases is exact; anything else raises ValueError, and so
+    does a period of more than 4300 digits, before it is computed.
     """
     parts = Family.restricted(parts).parts
     if power < 1:
@@ -91,13 +96,22 @@ def kwong_period(parts, ell: int, power: int) -> PeriodReport:
     m = math.lcm(*parts)
     while m % ell == 0:
         m //= ell
+    exponent = power + b - 1
+    # the period has floor(size) + 1 digits; near the limit, compare exactly
+    size = exponent * math.log10(ell) + math.log10(m)
+    if size > _PERIOD_DIGITS + 1 or (
+        size > _PERIOD_DIGITS - 1 and ell**exponent * m >= 10**_PERIOD_DIGITS
+    ):
+        raise ValueError(f"the period {ell}^{exponent} * {m} has about "
+                         f"{int(size) + 1} digits, more than the limit of "
+                         f"{_PERIOD_DIGITS}")
     return PeriodReport(
         prime=ell,
         power=power,
         parts=parts,
         b_value=b,
         m_value=m,
-        period=ell ** (power + b - 1) * m,
+        period=ell**exponent * m,
     )
 
 

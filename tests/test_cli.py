@@ -210,6 +210,12 @@ class TestVerify:
         assert code == 2 and err == ""
         assert out.splitlines()[0] == "VACUOUS far  members=0 bound=100"
 
+    def test_negative_bound_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--label", "thm1.7-pl8",
+                             "--bound", "-5")
+        assert (code, out) == (1, "")
+        assert err == "error: --bound must be >= 0, got -5\n"
+
     def test_odd_divisor_claim_below_two_is_usage_error(self, capsys):
         claim = {"family": "plane", "modulus": 4,
                  "kind": {"type": "predicate", "id": "odd-divisor-formula"}}
@@ -333,6 +339,31 @@ class TestPeriod:
                              str(2**127 - 1), "--power", "1")
         assert code == 1 and out == ""
         assert err.startswith("error: prime ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "prime,power", [("2", "20000"), ("1000000000000000003", "1000000")]
+    )
+    def test_period_beyond_the_digit_limit_is_one_error_line(self, prime, power):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "period", "--parts", "1,2",
+             "--prime", prime, "--power", power],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: the period ")
+        assert proc.stderr.endswith("more than the limit of 4300\n")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_period_at_the_digit_limit_prints(self, capsys, fmt):
+        # parts 1,2 mod 2^N: b = 2, so the period is 2^(N+1), 4300 digits
+        # at N = 14283 and 4301 at N = 14284
+        code, out, _ = run(capsys, "period", "--parts", "1,2", "--prime", "2",
+                           "--power", "14283", "--format", fmt)
+        assert code == 0 and str(2**14284) in out
+        code, out, err = run(capsys, "period", "--parts", "1,2", "--prime", "2",
+                             "--power", "14284")
+        assert code == 1 and out == "" and "about 4301 digits" in err
 
 
 class TestEnumerate:

@@ -251,21 +251,22 @@ class TestResidueExponents:
             assert abs(got) <= abs(e) and (got - e) % half == 0
             assert -half / 2 <= got < half / 2
 
-    def test_no_newton_inverse_mod_4_and_mostly_mod_8(self, monkeypatch):
+    def test_no_newton_inverse_mod_4_to_32(self, monkeypatch):
         order = 600
+        families = [Family.overpartitions(), Family.odd_overpartitions()]
+        families += [Family.k_rowed(k) for k in range(1, 14)]
+        moduli = (4, 8, 16, 32)
         want = {
-            (k, m): kernel_series(Family.k_rowed(k), order, Mod(m))
-            for k in range(1, 14) for m in (4, 8)
+            (f, m): kernel_series(f, order, Mod(m)) for f in families for m in moduli
         }
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
-        for k in range(1, 14):
-            got = build_series(Family.k_rowed(k), order, Mod(4))
-            assert got == want[k, 4], k
-            if k % 4 != 1:
-                assert build_series(Family.k_rowed(k), order, Mod(8)) == want[k, 8], k
-            else:  # over^1 is left: the pin is not vacuous
-                with pytest.raises(AssertionError, match="inverse_of_unit"):
-                    build_series(Family.k_rowed(k), order, Mod(8))
+        for family in families:
+            for m in moduli:
+                got = build_series(family, order, Mod(m))
+                assert got == want[family, m], (family, m)
+            # mod 64 over is still the Newton inverse: the pin is not vacuous
+            with pytest.raises(AssertionError, match="inverse_of_unit"):
+                build_series(family, order, Mod(64))
 
     @pytest.mark.parametrize("modulus", [2, 3, 4, 12, 2**40, 2**61 + 1])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -312,6 +313,55 @@ class TestResidueExponents:
                     patch.setattr(Series, "inverse_of_unit", no_inverse)
                     plk = build_series(claim.family, bound, ring)
                 assert plk == kernel_store.get(claim.family, 4), claim.label
+
+
+LIFT_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions()] + [
+    Family.k_rowed(k) for k in range(1, 14)
+]
+
+
+class TestTwoAdicLift:
+    """over over Z/2^r, r <= 5, lifted from over = phi(q) (mod 4)."""
+
+    @pytest.mark.parametrize("modulus", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("family", LIFT_FAMILIES, ids=str)
+    def test_matches_binomial_kernel(self, family, modulus):
+        ring = Mod(modulus)
+        want = kernel_series(family, 1000, ring)
+        for order in (0, 1, 2, 3, 4, 7, 8, 100, 1000):
+            got = build_series(family, order, ring)
+            assert got == Series(ring, order, want._c[: order + 1]), order
+
+    @pytest.mark.parametrize("modulus", [4, 8, 16, 32])
+    def test_matches_newton_inverse_at_scale(self, modulus):
+        ring = Mod(modulus)
+        order = 10**5
+        got = build_series(Family.overpartitions(), order, ring)
+        want = phi_series(-1, order, ring).inverse_of_unit()
+        assert got == want, got.first_mismatch(want)
+
+    @pytest.mark.parametrize("modulus,lifted", [(2, True), (32, True), (64, False),
+                                                (12, False), (3, False)])
+    def test_route_rule(self, modulus, lifted, monkeypatch):
+        monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
+        if lifted:
+            assert build_series(Family.overpartitions(), 50, Mod(modulus)) == (
+                kernel_series(Family.overpartitions(), 50, Mod(modulus)))
+        else:
+            with pytest.raises(AssertionError, match="inverse_of_unit"):
+                build_series(Family.overpartitions(), 50, Mod(modulus))
+
+    def test_one_builder_call(self, monkeypatch):
+        calls = []
+        original = genfun.build_series
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(genfun, "build_series", counted)
+        counted(Family.overpartitions(), 5000, Mod(32))
+        assert len(calls) == 1
 
 
 PLANE_FAMILIES = [Family.plane(), Family.ncolor()]

@@ -77,6 +77,14 @@ class TestPrimeBound:
         with pytest.raises(ValueError, match=f"not below {limit}"):
             kwong_period([1, 2], 2**127 - 1, 1)
 
+    def test_period_digit_limit(self):
+        # [3] mod 3^N: b = 1 and m = 1, so the period is 3^N; 3^9012 has
+        # 4300 digits and 3^9013 has 4301
+        assert len(str(kwong_period([3], 3, 9012).period)) == 4300
+        with pytest.raises(ValueError, match="about 4301 digits, more than the "
+                                             "limit of 4300"):
+            kwong_period([3], 3, 9013)
+
 
 class TestKwongParameters:
     def test_worked_example(self):
