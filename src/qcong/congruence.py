@@ -316,9 +316,9 @@ def _report(claim, bound: int, got, want, b: int, args=None) -> Report:
     the arguments.  The first mismatch is the counterexample (n, arg, got,
     want); no members is vacuous; otherwise the claim passes.
     """
-    bad = np.flatnonzero(got != want)
-    if bad.size:
-        i = int(bad[0])
+    bad = got != want
+    if bad.any():
+        i = int(bad.argmax())
         if args is None:
             n = claim.n_start + i
         else:

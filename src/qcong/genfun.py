@@ -154,8 +154,10 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     plk = prod_n R(q^n)^min(k, n); a negative power of over is a power of
     phi(-q), so no plk modulo 2 to 32 needs an inverse.  plane and ncolor
     over Z/2^r take the residue-class route when ``_class_route`` allows it,
-    and over Z the recurrence of ``_plane_exact``.  The other families go
-    through the binomial kernel.
+    and over Z the recurrence of ``_plane_exact``.  restricted over Z/2^r
+    is tiled from one checked Kwong period (``_restricted_by_period``) when
+    that period is shorter than the order.  The other families go through
+    the binomial kernel.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -182,7 +184,38 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
             return _plane_exact(order)
         if _class_route(order, ring):
             return _plane_by_classes(order, ring, _two_power_half(ring))
+    if family.kind == "restricted" and _two_power_half(ring) is not None:
+        tiled = _restricted_by_period(family, order, ring)
+        if tiled is not None:
+            return tiled
     return binomial_product(ring, order, _family_factors(family, order))
+
+
+def _restricted_by_period(family: Family, order: int, ring: Ring) -> Series | None:
+    """A restricted family's series over ``ring`` = Z/2^r, tiled from one period.
+
+    Kwong's period P is trusted only once the kernel's first P + D terms,
+    D the sum of the parts, show it: prod_a (1-q^a) has degree D and
+    constant term 1, so a(n) and a(n+P) obey the same order-D recurrence
+    for n >= D, and a(n+P) = a(n) for n < D makes them equal for every n.
+    Cost O(P*|parts| + order).  None when P + D exceeds order + 1, when
+    ``kwong_period`` refuses the period or when the check fails; the caller
+    then builds the whole order with the kernel.
+    """
+    from .periodicity import kwong_period  # only restricted builds pay for it
+
+    try:
+        period = kwong_period(family.parts, 2, ring.modulus.bit_length() - 1).period
+    except ValueError:  # a period of more than 4300 digits
+        return None
+    depth = sum(family.parts)
+    if period + depth > order + 1:
+        return None
+    head = binomial_product(ring, period + depth - 1,
+                            _family_factors(family, order))._c
+    if not np.array_equal(head[period:], head[:depth]):
+        return None
+    return Series._wrap(ring, np.resize(head[:period], order + 1))
 
 
 def _plane_exact(order: int) -> Series:

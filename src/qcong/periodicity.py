@@ -30,6 +30,10 @@ class InsufficientOrder(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Leading terms on which every candidate shift of ``empirical_period`` is
+# tested before any is compared over the whole series.
+_LEADING_TERMS = 64
+
 # Python converts an int of more than 4300 digits to text only on request
 # (sys.set_int_max_str_digits), so a longer period could not be printed.
 _PERIOD_DIGITS = 4300
@@ -155,11 +159,17 @@ def empirical_period(series: Series, max_period: int, guard: int = 3) -> int | N
         raise InsufficientOrder(
             f"order {series.order} < guard*max_period = {guard * max_period}"
         )
-    arr = np.ascontiguousarray(series._c)
-    buf = memoryview(arr.tobytes())
-    step = arr.itemsize
-    for d in range(1, max_period + 1):
-        if buf[d * step :] == buf[: -d * step]:
+    arr = series._c
+    shifts = np.arange(1, max_period + 1)
+    # every shift is tested at once on the leading terms, until at most one
+    # is left; the survivors are confirmed in ascending order over the whole
+    # truncation
+    for i in range(min(_LEADING_TERMS, arr.size - max_period)):
+        if shifts.size < 2:
+            break
+        shifts = shifts[arr[shifts + i] == arr[i]]
+    for d in shifts.tolist():
+        if np.array_equal(arr[d:], arr[:-d]):
             return d
     return None
 

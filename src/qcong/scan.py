@@ -227,9 +227,13 @@ def empirical_density(family: Family, modulus: int, bound: int,
     return zeros / bound
 
 
+# json.dumps(obj, sort_keys=True) builds this same encoder on every call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def persist_findings(findings, path) -> None:
     """Append findings to a JSONL file, one per line, in one write."""
-    text = "".join(json.dumps(f.to_json(), sort_keys=True) + "\n" for f in findings)
+    text = "".join(_encode(f.to_json()) + "\n" for f in findings)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(text)
 

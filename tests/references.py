@@ -3,7 +3,8 @@
 None of them goes through ``genfun.build_series``: the binomial kernel
 applied to a family's factors, the two sides of the theta identities, the
 square-count series, the 2-adic expansion and the finite theta product of
-the overpartition series, and the factor (1+q^n)/(1-q^n).
+the overpartition series, and the factor (1+q^n)/(1-q^n).  Also the
+shift-by-shift period scan that ``periodicity.empirical_period`` replaced.
 """
 
 from qcong import genfun
@@ -125,3 +126,17 @@ def phi_product_approx(bits: int, order: int, odd_parts: bool = False) -> Series
         factor = Series.one(ring, order).add(theta).add(theta)  # 1 + 2*theta
         out = out.mul(factor.pow(exponent))
     return out
+
+
+def byte_scan_period(series: Series, max_period: int) -> int | None:
+    """Smallest d <= max_period with coeff(n + d) = coeff(n) for all n, or None.
+
+    One byte compare of the whole coefficient buffer per candidate shift.
+    """
+    arr = series._c
+    buf = memoryview(arr.tobytes())
+    step = arr.itemsize
+    for d in range(1, max_period + 1):
+        if buf[d * step :] == buf[: -d * step]:
+            return d
+    return None

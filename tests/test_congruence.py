@@ -353,6 +353,91 @@ class TestVerifyMatchesLoop:
         assert report.members == len([n for n in range(1, 100, 2) if not is_square(n)])
 
 
+# l = 3, b = 1 from n = 2: arguments 7, 10, ..., 100 up to the bound 100
+EDGE_M, EDGE_L, EDGE_B, EDGE_START, EDGE_BOUND = 8, 3, 1, 2, 100
+
+
+def _last_member(kind):
+    """The sum claim adds plane(3n + 1) and over(3n + 4), so it ends at
+    n = 32; the others read plane(3n + 1) up to n = 33."""
+    return 32 if kind == "sum" else 33
+
+
+def _edge_case(kind, bad):
+    """(claim, store, want) with the members at n in ``bad`` off by one."""
+    order = EDGE_BOUND
+    other = [(i * i + 3) % EDGE_M for i in range(order + 1)]
+    if kind == "constant":
+        claim_kind, want = Constant(5), [5] * (order + 1)
+    elif kind == "equivalent":
+        claim_kind, want = Equivalent(Family.overpartitions()), other
+    elif kind == "predicate":
+        rule = SCALAR_PREDICATES["square-or-twice-square"]
+        claim_kind = Predicate("square-or-twice-square")
+        want = [rule(i) % EDGE_M for i in range(order + 1)]
+    else:  # sum: 3 + 2 = 5
+        claim_kind, want, other = None, [5] * (order + 1), [2] * (order + 1)
+    plane = [3] * (order + 1) if claim_kind is None else list(want)
+    for n in bad:
+        arg = EDGE_L * n + EDGE_B
+        plane[arg] = (plane[arg] + 1) % EDGE_M
+    store = SeriesStore(order)
+    store.put(Family.plane(), EDGE_M, Series(Mod(EDGE_M), order, plane))
+    store.put(Family.overpartitions(), EDGE_M, Series(Mod(EDGE_M), order, other))
+    if claim_kind is None:
+        claim = SumClaim("edge", ((Family.plane(), EDGE_B), (Family.overpartitions(), 4)),
+                         EDGE_M, EDGE_L, 5, EDGE_START)
+    else:
+        claim = Claim("edge", Family.plane(), EDGE_M, EDGE_L, EDGE_B, claim_kind,
+                      n_start=EDGE_START)
+    return claim, store, want
+
+
+def _verify(claim, store, bound):
+    if isinstance(claim, SumClaim):
+        return verify_sum_claim(claim, store, bound)
+    return verify_claim(claim, store, bound)
+
+
+EDGE_KINDS = ["constant", "equivalent", "predicate", "sum"]
+
+
+class TestReportEdges:
+    """The first mismatching member is the counterexample, wherever it sits."""
+
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    @pytest.mark.parametrize("where", ["first", "last", "several", "first-and-last"])
+    def test_first_mismatch_wins(self, kind, where):
+        last = _last_member(kind)
+        bad = {"first": [EDGE_START], "last": [last], "several": [9, 5, 20, last],
+               "first-and-last": [EDGE_START, last]}[where]
+        claim, store, want = _edge_case(kind, bad)
+        report = _verify(claim, store, EDGE_BOUND)
+        n = min(bad)
+        arg = EDGE_L * n + EDGE_B
+        assert report.outcome == "counterexample" and not report.passed
+        assert report.members == n - EDGE_START + 1
+        assert report.counterexample == (n, arg, (want[arg] + 1) % EDGE_M, want[arg])
+
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    def test_pass_counts_every_member(self, kind):
+        claim, store, _ = _edge_case(kind, [])
+        report = _verify(claim, store, EDGE_BOUND)
+        assert report.passed and report.counterexample is None
+        assert report.members == _last_member(kind) - EDGE_START + 1
+
+    @pytest.mark.parametrize("kind", EDGE_KINDS)
+    def test_no_members_is_vacuous(self, kind):
+        # below the first member: 3*2 + 1 = 7, and 3*2 + 4 = 10 for the sum
+        claim, store, _ = _edge_case(kind, [])
+        first = EDGE_L * EDGE_START + (4 if kind == "sum" else EDGE_B)
+        report = _verify(claim, store, first - 1)
+        assert report.outcome == "vacuous" and not report.passed
+        assert report.members == 0 and report.counterexample is None
+        report = _verify(claim, store, first)
+        assert report.passed and report.members == 1
+
+
 class TestSumClaims:
     def test_four_rowed_sum(self, store):
         claim = SumClaim(

@@ -1,11 +1,13 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcong import genfun
+from qcong import genfun, periodicity
 from qcong.congruence import (
     Claim,
     Equivalent,
@@ -471,6 +473,119 @@ class TestExactPlane:
 
         monkeypatch.setattr(genfun, "binomial_product", broken)
         assert build_series(Family.plane(), 5).tolist() == [1, 2, 6, 16, 38, 88]
+
+
+def _multisets(max_part, max_size):
+    return [parts for size in range(1, max_size + 1)
+            for parts in itertools.combinations_with_replacement(
+                range(1, max_part + 1), size)]
+
+
+def _kernel_orders(monkeypatch):
+    """Patch the kernel that genfun calls to record the order of each build."""
+    orders = []
+
+    def recorded(ring, order, factors):
+        orders.append(order)
+        return binomial_product(ring, order, factors)
+
+    monkeypatch.setattr(genfun, "binomial_product", recorded)
+    return orders
+
+
+class TestPeriodTiling:
+    """restricted over Z/2^r tiled from one Kwong period, against the kernel."""
+
+    @pytest.mark.parametrize("bits", range(1, 7))
+    def test_matches_binomial_kernel(self, bits):
+        # orders P+D-2 (kernel), P+D-1 (tiled from the shortest head), P+D, 3P
+        ring = Mod(2**bits)
+        for parts in _multisets(8, 4):
+            family = Family.restricted(parts)
+            period = kwong_period(parts, 2, bits).period
+            depth = sum(parts)
+            top = max(3 * period, period + depth)
+            want = kernel_series(family, top, ring)._c
+            for order in (period + depth - 2, period + depth - 1,
+                          period + depth, 3 * period):
+                if order < 0:
+                    continue
+                got = build_series(family, order, ring)
+                assert np.array_equal(got._c, want[: order + 1]), (parts, order)
+
+    @pytest.mark.parametrize("parts,bits", [((1, 2, 2, 3, 3), 3), ((3, 5, 7), 4),
+                                            ((2,), 2)])
+    def test_route_rule(self, parts, bits, monkeypatch):
+        period = kwong_period(parts, 2, bits).period
+        depth = sum(parts)
+        orders = _kernel_orders(monkeypatch)
+        for order in (period + depth - 2, period + depth - 1, 5 * period):
+            build_series(Family.restricted(parts), order, Mod(2**bits))
+        # the head has P + D terms, order P + D - 1
+        assert orders == [period + depth - 2, period + depth - 1,
+                          period + depth - 1]
+
+    @pytest.mark.parametrize("wrong", [lambda p: p - 1, lambda p: p // 2,
+                                       lambda p: p + 1, lambda p: 2 * p + 3],
+                             ids=["P-1", "P/2", "P+1", "2P+3"])
+    def test_wrong_period_falls_back_to_the_kernel(self, wrong, monkeypatch):
+        parts, ring = (1, 2, 2, 3, 3), Mod(8)
+        real = periodicity.kwong_period
+        period = real(parts, 2, 3).period  # 96
+        order = 10 * period
+        monkeypatch.setattr(
+            periodicity, "kwong_period",
+            lambda *args: replace(real(*args), period=wrong(real(*args).period)))
+        orders = _kernel_orders(monkeypatch)
+        got = build_series(Family.restricted(parts), order, ring)
+        assert orders == [wrong(period) + sum(parts) - 1, order]
+        assert got == kernel_series(Family.restricted(parts), order, ring)
+
+    @pytest.mark.parametrize("index", [0, 1, 10])
+    def test_check_reads_every_one_of_the_d_terms(self, index, monkeypatch):
+        # a head changed at term P + index, index < D = 11, must be refused
+        parts, ring, order = (1, 2, 2, 3, 3), Mod(8), 1000
+        period = kwong_period(parts, 2, 3).period
+        orders = []
+
+        def changed_head(ring, size, factors):
+            orders.append(size)
+            out = binomial_product(ring, size, factors)
+            if size == order:
+                return out
+            c = out._c.copy()
+            c[period + index] += 1
+            return Series(ring, size, c)
+
+        monkeypatch.setattr(genfun, "binomial_product", changed_head)
+        got = build_series(Family.restricted(parts), order, ring)
+        assert orders == [period + sum(parts) - 1, order]
+        assert got == kernel_series(Family.restricted(parts), order, ring)
+
+    def test_refused_period_falls_back_to_the_kernel(self):
+        # the first 1500 primes: lcm has more than 4300 digits, so
+        # kwong_period refuses it and the kernel builds the series
+        primes = [p for p in range(2, 12554)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert len(primes) == 1500
+        with pytest.raises(ValueError, match="digits"):
+            kwong_period(primes, 2, 3)
+        family = Family.restricted(primes)
+        got = build_series(family, 10, Mod(8))
+        assert got == kernel_series(family, 10, Mod(8))
+
+    @pytest.mark.parametrize("ring", [EXACT, Mod(12), Mod(3), Mod(2**61 + 1)],
+                             ids=repr)
+    def test_other_rings_keep_the_kernel(self, ring, monkeypatch):
+        def refused(*args):
+            raise AssertionError("only Z/2^r consults kwong_period")
+
+        monkeypatch.setattr(periodicity, "kwong_period", refused)
+        for parts in ((1, 2, 2, 3, 3), (3, 5, 7), (2,)):
+            family = Family.restricted(parts)
+            for order in (0, 1, 40, 400):
+                assert build_series(family, order, ring) == (
+                    kernel_series(family, order, ring))
 
 
 class TestPhi:

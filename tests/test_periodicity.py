@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcong.genfun import Family, build_series
 from qcong.periodicity import (
@@ -11,7 +13,7 @@ from qcong.periodicity import (
     kwong_period,
 )
 from qcong.series import EXACT, Mod, Series
-from references import f_series
+from references import byte_scan_period, f_series
 
 WORKED_EXAMPLE = [1, 1, 2, 2, 2, 4, 4, 5]
 
@@ -155,6 +157,66 @@ class TestEmpiricalPeriod:
         series = build_series(Family.restricted([2]), 50, Mod(4))
         with pytest.raises(ValueError):
             empirical_period(series, 5, guard=2)
+
+
+@st.composite
+def _near_periodic(draw):
+    """(series, max_period): a pattern repeated to the order, a few values changed.
+
+    Few distinct values make many shifts agree on the leading terms; the
+    changes sit from term 64 on, where only the whole-series compare sees
+    them, or anywhere.
+    """
+    m = draw(st.integers(2, 64))
+    max_period = draw(st.integers(1, 80))
+    order = draw(st.integers(3 * max_period, 3 * max_period + 200))
+    period = draw(st.integers(1, 2 * max_period))
+    values = st.integers(0, draw(st.integers(0, m - 1)))
+    pattern = draw(st.lists(values, min_size=period, max_size=period))
+    coeffs = [pattern[i % period] for i in range(order + 1)]
+    where = draw(st.sampled_from([min(64, order), 0]))
+    for i, v in draw(st.lists(st.tuples(st.integers(where, order), values),
+                              max_size=3)):
+        coeffs[i] = v
+    return Series(Mod(m), order, coeffs), max_period
+
+
+def _tiled(pattern, order, m):
+    return Series(Mod(m), order, [pattern[i % len(pattern)] for i in range(order + 1)])
+
+
+class TestShiftFilter:
+    """empirical_period against the shift-by-shift byte scan it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_near_periodic())
+    @example((_tiled([5], 90, 64), 30))  # constant: d = 1
+    @example((f_series(1, 150, Mod(2)), 50))  # no pure period
+    @example((_tiled([0, 1] * 40 + [1] * 5, 255, 2), 85))  # 2 fails at term 80
+    def test_matches_byte_scan(self, drawn):
+        series, max_period = drawn
+        want = byte_scan_period(series, max_period)
+        assert empirical_period(series, max_period) == want
+
+    def test_shift_agreeing_on_the_leading_terms_fails_later(self):
+        # period 80: 75 terms of period 5, then 5 terms that break it, so
+        # shifts 5, 10, ... agree on the first 64 terms and fail at term 70
+        pattern = [n % 5 for n in range(75)] + [7] * 5
+        series = _tiled(pattern, 240, 8)
+        arr = series._c
+        assert all(arr[n + 5] == arr[n] for n in range(64))
+        assert byte_scan_period(series, 80) == 80
+        assert empirical_period(series, 80) == 80
+        assert empirical_period(series, 79) is None
+
+    def test_moduli_and_periods_of_restricted_series(self):
+        for parts, bits in (((5, 7), 3), ((1, 2, 2, 3, 3), 2), ((3,), 4), ((2, 6), 1)):
+            period = kwong_period(parts, 2, bits).period
+            series = build_series(Family.restricted(parts), 3 * period + 7,
+                                  Mod(2**bits))
+            want = byte_scan_period(series, period)
+            assert want is not None
+            assert empirical_period(series, period) == want
 
 
 class TestCrossCheck:

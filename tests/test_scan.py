@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -355,6 +356,24 @@ class TestPersistence:
             back = load_findings(path)
         assert back == plk6 + parts
         assert back[2].claim.family.token == "restricted:1,2"
+
+    def test_lines_are_pinned(self, tmp_path):
+        plk4 = scan_ap_congruences(ScanConfig(Family.k_rowed(4), 8, 12, 2500))
+        parts = scan_ap_congruences(
+            ScanConfig(Family.restricted([1, 2, 2, 3, 3]), 8, 48, 2000))
+        assert any(f.status.startswith("matches-known:") for f in plk4)
+        assert parts and all(f.status == "candidate" for f in parts)
+        findings = plk4 + parts
+        path = tmp_path / "findings.jsonl"
+        persist_findings(findings, path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == ""
+        assert lines == [json.dumps(f.to_json(), sort_keys=True) for f in findings]
+        known = next(line for line in lines if "12n-mod8" in line)
+        assert known == (
+            '{"b": 0, "bound": 2500, "c": 0, "family": "plk4", "l": 12, '
+            '"modulus": 8, "status": "matches-known:thm1.7-pl4-12n-mod8", '
+            '"support": 208}')
 
     def test_family_token_must_be_a_string(self, tmp_path):
         path = tmp_path / "bad.jsonl"
