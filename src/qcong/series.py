@@ -151,7 +151,7 @@ class Series:
     __getitem__ = coeff
 
     def tolist(self) -> list[int]:
-        return [int(c) for c in self._c]
+        return list(self._c) if self.ring.exact else self._c.tolist()
 
     def __len__(self) -> int:
         return self.order + 1
@@ -226,29 +226,44 @@ class Series:
     __mul__ = mul
 
     def pow(self, e: int) -> "Series":
-        """Repeated-squaring power; ``pow(a, 0)`` is one, ``pow(a, 1)`` is a."""
+        """Repeated-squaring power; ``pow(a, 0)`` is one, ``pow(a, 1)`` is a.
+
+        A base multiplied into the result and then squared is transformed
+        once for both products (``_mul_and_square``).
+        """
         if e < 0:
             raise ValueError("negative exponent: use inverse_of_unit")
         if e == 0:
             return Series.one(self.ring, self.order)
         result = None
         base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result.mul(base)
+        while e > 1:
+            if e & 1 and result is not None:
+                result, base = base._mul_and_square(result)
+            else:
+                if e & 1:
+                    result = base
+                base = base.mul(base)
             e >>= 1
-            if not e:
-                return result
-            base = base.mul(base)
+        return base if result is None else result.mul(base)
+
+    def _mul_and_square(self, other: "Series") -> tuple["Series", "Series"]:
+        """(self*other, self*self); a modular self is transformed once."""
+        self._compat(other)
+        m = self.ring.modulus
+        if m is None:
+            return self.mul(other), self.mul(self)
+        xy, xx = _mul_and_square(self._c, other._c, m)
+        return Series._wrap(self.ring, xy), Series._wrap(self.ring, xx)
 
     __pow__ = pow
 
     def inverse_of_unit(self) -> "Series":
         """Multiplicative inverse; requires an invertible constant term.
 
-        Modular rings use Newton doubling b <- b*(2 - a*b) on the FFT
-        product; the exact ring is ``_sparse_power`` with exponent -1,
-        O(N^1.5) for a theta series.
+        Modular rings use Newton doubling b <- b*(2 - a*b), each step two
+        FFT middle products at one length (``_newton_step``); the exact ring
+        is ``_sparse_power`` with exponent -1, O(N^1.5) for a theta series.
         """
         n = self.order
         m = self.ring.modulus
@@ -263,13 +278,12 @@ class Series:
             raise NonUnitConstantTerm(
                 f"constant term {u} is not a unit mod {m}"
             ) from None
-        b = np.array([uinv], dtype=np.int64)
+        b = np.zeros(n + 1, dtype=np.int64)
+        b[0] = uinv
         p = 1
         while p <= n:
-            # a*b = 1 + q^p * h; the next p coefficients of b are -(b*h)
             p2 = min(2 * p, n + 1)
-            h = _mul_mod(self._c[:p2], b, m, p2)[p:]
-            b = np.concatenate((b, -_mul_mod(b, h, m, p2 - p) % m))
+            b[p:p2] = _newton_step(self._c, b[:p], m, p2)
             p = p2
         return Series._wrap(self.ring, b)
 
@@ -326,7 +340,9 @@ class Series:
 # 2^53 that rounding errors stay tiny; every product still checks them at run
 # time.  (The check needs that bound: above 2^53 every float is an integer.)
 # Shorter inputs, and products that fail the check, use exact int64
-# np.convolve on limbs narrow enough for int64.
+# np.convolve on limbs narrow enough for int64.  Every FFT product is one
+# ``_spectra`` per operand and one ``_spectral_product``, so ``pow`` and the
+# Newton inverse can reuse an operand's transform across two products.
 _FFT_BITS = 46
 _FFT_MIN_LEN = 256
 _FFT_ODD = (1, 3, 5, 9, 15, 25, 27, 45, 75, 81, 125)
@@ -360,44 +376,126 @@ def _limb_width(bits: int, length: int, budget: int) -> int:
 
 
 def _limb_product(out, a, b, m, w, fft) -> bool:
-    """Accumulate a*b mod m into ``out`` from products of w-bit limbs.
+    """Fill the zeroed ``out`` with a*b mod m from products of w-bit limbs.
 
-    With fft=True the limb products are float64 FFT convolutions; returns
-    False, leaving ``out`` partial, if any rounds with an error of 1/4 or more.
+    With fft=True the limb products are float64 FFT convolutions
+    (``_spectral_product``); returns False, leaving ``out`` partial, if any
+    rounds with an error of 1/4 or more.
     """
-    n = len(out)
-    k = max(1, -(-(m - 1).bit_length() // w))
-    la = _limbs(a, w, k)
-    lb = la if b is a else _limbs(b, w, k)
     if fft:
-        from numpy.fft import irfft, rfft
-
         size = _fft_size(len(a) + len(b) - 1)
-        la = [rfft(x, size) for x in la]
-        lb = la if b is a else [rfft(x, size) for x in lb]
-    # Horner over the limb shifts s = i + j, highest first
-    for s in range(2 * k - 2, -1, -1):
-        first, *rest = range(max(0, s - k + 1), min(s, k - 1) + 1)
-        if fft:
-            spectrum = la[first] * lb[s - first]
-            for i in rest:
-                spectrum += la[i] * lb[s - i]
-            x = irfft(spectrum, size)[:n]
-            del spectrum
-            c = np.rint(x)
-            x -= c
-            if np.abs(x, out=x).max() >= 0.25:
-                return False
-            c = c.astype(np.int64)
-        else:
-            c = np.convolve(la[first], lb[s - first])[:n]
-            for i in rest:
-                c += np.convolve(la[i], lb[s - i])[:n]
-        _shift_mod(out, w, m)
-        c %= m
-        out[: len(c)] += c
-        out %= m
+        sa = _spectra(a, m, w, size)
+        sb = sa if b is a else _spectra(b, m, w, size)
+        return _spectral_product(out, sa, sb, m, w, size)
+    n = len(out)
+    la = _limbs(a, w, _limb_count(m, w))
+    lb = la if b is a else _limbs(b, w, len(la))
+    for s, (first, *rest) in _limb_shifts(len(la)):
+        c = np.convolve(la[first], lb[s - first])[:n]
+        for i in rest:
+            c += np.convolve(la[i], lb[s - i])[:n]
+        _horner_step(out, c, w, m, s == 2 * len(la) - 2)
     return True
+
+
+def _spectra(x: np.ndarray, m: int, w: int, size: int) -> list:
+    """Real FFTs at length ``size`` of the w-bit limbs of x (residues mod m)."""
+    from numpy.fft import rfft
+
+    return [rfft(limb, size) for limb in _limbs(x, w, _limb_count(m, w))]
+
+
+def _spectral_product(out, sa, sb, m, w, size, lo=0) -> bool:
+    """Fill the zeroed ``out`` with coefficients lo, lo+1, ... of a*b mod m.
+
+    ``sa`` and ``sb`` are the ``_spectra`` of a and b at ``size``, so the
+    product is cyclic: a coefficient of index i >= size lands on i - size.
+    Returns False, leaving ``out`` partial, if any value used rounds with an
+    error of 1/4 or more.
+    """
+    from numpy.fft import irfft
+
+    n = len(out)
+    for s, (first, *rest) in _limb_shifts(len(sa)):
+        spectrum = sa[first] * sb[s - first]
+        for i in rest:
+            spectrum += sa[i] * sb[s - i]
+        x = irfft(spectrum, size)[lo : lo + n]
+        del spectrum
+        c = np.rint(x)
+        x -= c
+        if np.abs(x, out=x).max() >= 0.25:
+            return False
+        _horner_step(out, c.astype(np.int64), w, m, s == 2 * len(sa) - 2)
+    return True
+
+
+def _limb_shifts(k: int):
+    """(s, limb indices i pairing with s - i) for k limbs, highest s first."""
+    for s in range(2 * k - 2, -1, -1):
+        yield s, range(max(0, s - k + 1), min(s, k - 1) + 1)
+
+
+def _horner_step(out, c, w, m, top) -> None:
+    """out <- out * 2^w + c mod m in place; at the top shift out is still 0."""
+    if top:
+        np.remainder(c, m, out=out[: len(c)])
+        return
+    _shift_mod(out, w, m)
+    c %= m
+    out[: len(c)] += c
+    out %= m
+
+
+def _mul_and_square(x: np.ndarray, y: np.ndarray, m: int):
+    """(x*y, x*x) mod m, truncated at len(x) == len(y), on one transform of x.
+
+    Both products fall back to ``_mul_mod`` if either fails its rounding
+    check.
+    """
+    n = len(x)
+    if n >= _FFT_MIN_LEN:
+        w = _limb_width((m - 1).bit_length(), n, _FFT_BITS)
+        size = _fft_size(2 * n - 1)
+        sx = _spectra(x, m, w, size)
+        xy = np.zeros(n, dtype=np.int64)
+        xx = np.zeros(n, dtype=np.int64)
+        if _spectral_product(xy, sx, _spectra(y, m, w, size), m, w, size):
+            if _spectral_product(xx, sx, sx, m, w, size):
+                return xy, xx
+    return _mul_mod(x, y, m, n), _mul_mod(x, x, m, n)
+
+
+def _newton_step(a: np.ndarray, b: np.ndarray, m: int, p2: int) -> np.ndarray:
+    """Coefficients p..p2-1 of 1/a mod m, from its first p = len(b) in b.
+
+    a*b = 1 + q^p*h, and the next coefficients are -(b*h) mod q^(p2-p).
+    Both products are taken at one transform length L >= p2 on one
+    spectrum of b.  The cyclic a[:p2]*b has linear length p2 + p - 1, so it
+    wraps only onto indices below p, which h skips.  b*h truncated at
+    p2 - p has degree below p2 - 1 < L, so it does not wrap.  Each cyclic
+    coefficient sums at most p products per limb pair, so the limbs are
+    those of a length-p product.  If either product fails its rounding
+    check, the step is the pair of ``_mul_mod`` products instead.
+    """
+    p = len(b)
+    n = p2 - p
+    if p >= _FFT_MIN_LEN:
+        w = _limb_width((m - 1).bit_length(), p, _FFT_BITS)
+        size = _fft_size(p2)
+        sb = _spectra(b, m, w, size)
+        h = np.zeros(n, dtype=np.int64)
+        if _spectral_product(h, _spectra(a[:p2], m, w, size), sb, m, w, size, p):
+            bh = np.zeros(n, dtype=np.int64)
+            if _spectral_product(bh, _spectra(h, m, w, size), sb, m, w, size):
+                return -bh % m
+    h = _mul_mod(a[:p2], b, m, p2)[p:]
+    return -_mul_mod(b, h, m, n) % m
+
+
+def _limb_count(m: int, w: int) -> int:
+    """Number of w-bit limbs of a residue mod m."""
+    return max(1, -(-(m - 1).bit_length() // w))
 
 
 def _limbs(x: np.ndarray, w: int, k: int) -> list:

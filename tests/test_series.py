@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +14,16 @@ from qcong.series import (
     Series,
     binomial_product,
 )
+from qcong.genfun import phi_series
 from references import f_series
 
 MODULI = [2, 4, 8, 12, 64]
+
+# moduli and orders for the Newton middle product: orders near _FFT_MIN_LEN,
+# where the first FFT step and a one- or two-term last step occur, and orders
+# whose last step is short (N + 1 not a power of two)
+NEWTON_MODULI = [2, 3, 8, 12, 64, 2**40 + 3, 2**61 + 1]
+NEWTON_ORDERS = [255, 256, 257, 511, 512, 513, 3000]
 
 # moduli up to the cap; 2**40 and above need more than one FFT limb
 WIDE_MODULI = st.one_of(
@@ -154,7 +163,14 @@ class TestArithmetic:
             calls.append(1)
             return mul(self, other)
 
+        def counted_pair(x, y, m):
+            calls.extend((1, 1))
+            return mul_and_square(x, y, m)
+
+        # a modular multiply-then-square step is two products on one transform
+        mul_and_square = series_module._mul_and_square
         monkeypatch.setattr(Series, "mul", counted)
+        monkeypatch.setattr(series_module, "_mul_and_square", counted_pair)
         assert s.pow(e) == want
         assert len(calls) == products
 
@@ -239,6 +255,17 @@ class TestModularProducts:
         got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
         assert got.tolist() == python_product(ca, cb, m)
 
+    def test_pow_rounding_check_falls_back_to_convolve(self, monkeypatch):
+        m, order = 2**61 + 1, 600
+        s = Series(Mod(m), order, random_coeffs(9, m, order + 1))
+        want = s
+        for _ in range(6):
+            want = want.mul(s)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + 0.3)
+        # 7 = 111b: the middle bit multiplies and squares on one transform
+        assert s.pow(7) == want
+
     @settings(max_examples=40, deadline=None)
     @given(
         order=st.integers(min_value=0, max_value=1500),
@@ -263,6 +290,95 @@ class TestModularProducts:
         assert inv[0] == pow(unit, -1, m)
         assert a.mul(inv) == Series.one(Mod(m), order)
 
+
+@functools.lru_cache(maxsize=None)
+def exact_unit(kind, order):
+    """Exact coefficients of a unit with constant term +/-1, and of its inverse."""
+    if kind == "phi":
+        g = phi_series(-1, order)._c
+    else:
+        # sparse, so the exact recurrence stays cheap at order 3000
+        rng = np.random.default_rng(order)
+        g = [0] * (order + 1)
+        g[0] = -1 if order % 2 else 1
+        for j in rng.choice(np.arange(1, order + 1), size=12, replace=False):
+            g[j] = int(rng.integers(-3, 4))
+    return tuple(g), series_module._sparse_power(g, -1)
+
+
+class TestNewtonMiddleProduct:
+    """The modular Newton inverse against the exact inverse recurrence."""
+
+    @pytest.mark.parametrize("m", NEWTON_MODULI)
+    @pytest.mark.parametrize("order", NEWTON_ORDERS)
+    @pytest.mark.parametrize("kind", ["phi", "random"])
+    def test_matches_exact_inverse(self, kind, order, m):
+        g, inverse = exact_unit(kind, order)
+        got = Series(Mod(m), order, g).inverse_of_unit()
+        assert got.tolist() == [c % m for c in inverse]
+
+    @pytest.mark.parametrize("m", [12, 64, 2**61 + 1])
+    def test_overpartitions_at_20000(self, m):
+        g, inverse = exact_unit("phi", 20000)
+        got = Series(Mod(m), 20000, g).inverse_of_unit()
+        assert got.tolist() == [c % m for c in inverse]
+
+    @pytest.mark.parametrize("m", [64, 2**61 + 1])
+    def test_fft_steps_make_no_plain_products(self, monkeypatch, m):
+        # only the steps from p < _FFT_MIN_LEN take the _mul_mod pair
+        calls = []
+        mul_mod = series_module._mul_mod
+
+        def counted(a, b, m, n):
+            calls.append(1)
+            return mul_mod(a, b, m, n)
+
+        monkeypatch.setattr(series_module, "_mul_mod", counted)
+        g, inverse = exact_unit("phi", 3000)
+        got = Series(Mod(m), 3000, g).inverse_of_unit()
+        assert got.tolist() == [c % m for c in inverse]
+        small_steps = series_module._FFT_MIN_LEN.bit_length() - 1
+        assert len(calls) == 2 * small_steps
+
+    def test_rounding_check_falls_back_to_convolve(self, monkeypatch):
+        m, order = 2**61 + 1, 1000
+        g, inverse = exact_unit("phi", order)
+        spectral, convolved = [], []
+        spectral_product = series_module._spectral_product
+        limb_product = series_module._limb_product
+
+        def spy_spectral(out, sa, sb, m, w, size, lo=0):
+            ok = spectral_product(out, sa, sb, m, w, size, lo)
+            spectral.append((lo, ok))
+            return ok
+
+        def spy_limbs(out, a, b, m, w, fft):
+            convolved.append(not fft)
+            return limb_product(out, a, b, m, w, fft)
+
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + 0.3)
+        monkeypatch.setattr(series_module, "_spectral_product", spy_spectral)
+        monkeypatch.setattr(series_module, "_limb_product", spy_limbs)
+        got = Series(Mod(m), order, g).inverse_of_unit()
+        assert got.tolist() == [c % m for c in inverse]
+        # the middle products (lo = p) ran, failed the check, and every
+        # step's two products were then made by convolution
+        assert {lo for lo, ok in spectral if lo} == {256, 512}
+        assert not any(ok for _, ok in spectral)
+        assert convolved.count(True) == 2 * (order + 1).bit_length()
+
+
+class TestToList:
+    @pytest.mark.parametrize("ring", [EXACT, Mod(12), Mod(2**61 + 1)], ids=repr)
+    def test_python_ints_unchanged(self, ring):
+        coeffs = [(-1) ** i * 7**i for i in range(300)]
+        s = Series(ring, 299, coeffs)
+        got = s.tolist()
+        assert all(type(c) is int for c in got)
+        want = coeffs if ring.exact else [c % ring.modulus for c in coeffs]
+        assert got == want
+        assert got == [s[i] for i in range(300)]
 
 class TestBinomialKernel:
     def test_geometric(self):
