@@ -458,7 +458,7 @@ def builtin_suite() -> list[Claim | SumClaim]:
     oddover = Family.odd_overpartitions()
     claims: list[Claim | SumClaim] = []
     # Modulo 4 and 8 the builder makes over from over = phi(q)*over(q^2)^2
-    # (genfun._over_by_lift), so the over and oddover rows there follow from
+    # (genfun._lift), so the over and oddover rows there follow from
     # that identity; the kernel and Newton differential tests check it.
 
     # square/twice-square residue split mod 4, and the family equivalence

@@ -146,15 +146,16 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     quasi-linear time (modular rings) or O(N^1.5) (exact ring):
     over = 1/phi(-q), oddover = phi(q) * over(q^2) and
     plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  over is the Newton
-    inverse of phi(-q), except over Z/2^r with r <= ``_LIFT_MAX_BITS``,
-    where ``_over_by_lift`` lifts over = phi(q) (mod 4) one bit per level;
-    oddover and plk take over from here.  Over Z/2^r every
-    exponent of that plk product is reduced by ``_balanced`` modulo
-    M = 2^(r-1), since R(x)^M = 1 (mod 2M) for R(x) = (1+x)/(1-x) and
+    inverse of phi(-q), except over Z/2, Z/4 and Z/8, where ``_lift`` lifts
+    over = phi(q) (mod 4) one bit per level; oddover and plk take over from
+    here.  Over Z/2^r every exponent of that plk product is reduced by
+    ``_balanced`` modulo M = 2^(r-1), since R(x)^M = 1 (mod 2M) for
+    R(x) = (1+x)/(1-x) and
     plk = prod_n R(q^n)^min(k, n); a negative power of over is a power of
-    phi(-q), so no plk modulo 2 to 32 needs an inverse.  plane and ncolor
-    over Z/2^r take the residue-class route when ``_class_route`` allows it,
-    and over Z the recurrence of ``_plane_exact``.  restricted over Z/2^r
+    phi(-q), so no plk modulo 2 to 8 needs an inverse.  plane and ncolor
+    over Z/2^r take the same lift from their residue classes
+    (``_class_odd_part``) when ``_class_route`` allows it, and over Z the
+    recurrence of ``_plane_exact``.  restricted over Z/2^r
     is tiled from one checked Kwong period (``_restricted_by_period``) when
     that period is shorter than the order.  The other families go through
     the binomial kernel.
@@ -163,8 +164,8 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         raise ValueError(f"order must be >= 0, got {order}")
     if family.kind == "over":
         half = _two_power_half(ring)  # 2^(r-1) over Z/2^r
-        if half is not None and half.bit_length() <= _LIFT_MAX_BITS:
-            return _over_by_lift(order, ring, half.bit_length())
+        if half is not None and half <= 4:  # above Z/8 Newton is faster
+            return _lift(order, ring, half, lambda n, r, _: phi_series(+1, n, r))
         return phi_series(-1, order, ring).inverse_of_unit()
     if family.kind == "oddover":
         over_q2 = build_series(Family.overpartitions(), order // 2, ring)
@@ -183,7 +184,7 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         if ring.exact:
             return _plane_exact(order)
         if _class_route(order, ring):
-            return _plane_by_classes(order, ring, _two_power_half(ring))
+            return _lift(order, ring, _two_power_half(ring), _class_odd_part)
     if family.kind == "restricted" and _two_power_half(ring) is not None:
         tiled = _restricted_by_period(family, order, ring)
         if tiled is not None:
@@ -274,18 +275,33 @@ def _class_route(order: int, ring: Ring) -> bool:
     return half * half <= order or half == 1
 
 
-def _plane_by_classes(order: int, ring: Ring, half: int) -> Series:
-    """A series congruent to the plane series modulo 2*half, over ``ring``.
+def _lift(order: int, ring: Ring, half: int, odd_part) -> Series:
+    """A series F over ``ring`` = Z/2^r, half = 2^(r-1), by a 2-adic lift.
 
-    With R(x) = (1+x)/(1-x), plane = prod_n R(q^n)^n splits into odd and
-    even n as  plane(q) = prod_{n odd} R(q^n)^n * plane(q^2)^2.  Since
-    R(x)^half = 1 (mod 2*half), the odd part is prod_{j odd} C_j^j over the
-    classes C_j = prod_{n = j (mod half)} R(q^n), and plane(q^2) is needed
-    only modulo half: if A = A' (mod 2^s) with s >= 1 then A^2 = A'^2
-    (mod 2^(s+1)).  Modulo 2 the series is 1.
+    F = odd_part(q) * F(q^2)^2 with F = 1 (mod 2): if A = A' (mod 2^s), s >= 1,
+    then A^2 = A'^2 (mod 2^(s+1)), so F(q^2) is needed only modulo half and
+    each level gains one bit.  ``odd_part(order, ring, half)`` is the odd
+    part modulo 2*half; F(q^2)^2 is squared at order // 2, then inflated.
+    Modulo 2 F is 1, and modulo 4 it is the odd part.  For over the odd part
+    is phi(q): Gauss's phi(q)*phi(-q) = phi(-q^2)^2 gives
+    over(q) = phi(q) * over(q^2)^2; for plane it is ``_class_odd_part``.
     """
     if half == 1:
         return Series.one(ring, order)
+    out = odd_part(order, ring, half)
+    if half > 2:
+        low = _lift(order // 2, ring, half // 2, odd_part)
+        out = out.mul(low.mul(low).inflate(2, order))
+    return out
+
+
+def _class_odd_part(order: int, ring: Ring, half: int) -> Series:
+    """The odd part of plane(q) = prod_{n odd} R(q^n)^n * plane(q^2)^2, mod 2*half.
+
+    With R(x) = (1+x)/(1-x), plane = prod_n R(q^n)^n.  Since
+    R(x)^half = 1 (mod 2*half), the odd part is prod_{j odd} C_j^j over the
+    classes C_j = prod_{n = j (mod half)} R(q^n).
+    """
     m = ring.modulus
     out = run = None
     # Horner over j = half-1 .. 1: C_j enters ``run`` once and ``out`` j times
@@ -294,9 +310,6 @@ def _plane_by_classes(order: int, ring: Ring, half: int) -> Series:
             c = Series(ring, order, _class_product(j, half, order, m))
             run = c if run is None else run.mul(c)
         out = run if out is None else out.mul(run)
-    if half > 2:
-        low = _plane_by_classes(order // 2, ring, half // 2).inflate(2, order)
-        out = out.mul(low.mul(low))
     return out
 
 
@@ -349,35 +362,11 @@ def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
     return buf.astype(np.int64)
 
 
-# Over Z/2^r the 2-adic lift builds over for r <= _LIFT_MAX_BITS.  Its cost
-# grows with r and Newton's does not; at r = 6 the two measured within the
-# run-to-run drift, so larger r stay on Newton (README, design notes).
-_LIFT_MAX_BITS = 5
-
-
-def _over_by_lift(order: int, ring: Ring, bits: int) -> Series:
-    """The overpartition series over ``ring`` = Z/2^bits by a 2-adic lift.
-
-    Gauss's phi(q)*phi(-q) = phi(-q^2)^2 gives over(q) = phi(q)*over(q^2)^2,
-    so over = 1 (mod 2) and over = phi(q) (mod 4).  If O = over (mod 2^s)
-    with s >= 1 then O^2 = over^2 (mod 2^(s+1)), so each level
-    O <- phi(q) * O(q^2)^2 gains one bit: bits - 2 levels of one square at
-    half the order and one product, from order N >> (bits - 2) up to N.
-    """
-    if bits == 1:
-        return Series.one(ring, order)
-    out = phi_series(+1, order >> (bits - 2), ring)
-    for level in range(bits - 3, -1, -1):
-        n = order >> level
-        out = phi_series(+1, n, ring).mul(out.mul(out).inflate(2, n))
-    return out
-
-
 def _over_power(k: int, order: int, ring: Ring) -> Series:
     """over^k = phi(-q)^(-k) for any integer k; the series 1 for k = 0.
 
     In a modular ring a positive k powers over as ``build_series`` makes
-    it (the 2-adic lift modulo 2 to 32, else the Newton inverse) and a
+    it (the 2-adic lift modulo 2 to 8, else the Newton inverse) and a
     negative k powers phi(-q) itself, with no inverse.  Exact coefficients
     come from ``_sparse_power`` over the O(sqrt N) nonzero terms of
     phi(-q), O(N^1.5) in all.

@@ -360,10 +360,13 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
     bits = (m - 1).bit_length()
     if shortest >= _FFT_MIN_LEN:
         w = _limb_width(bits, shortest, _FFT_BITS)
-        if _limb_product(out, a, b, m, w, fft=True):
+        size = _fft_size(len(a) + len(b) - 1)
+        sa = _spectra(a, m, w, size)
+        sb = sa if square else _spectra(b, m, w, size)
+        if _spectral_product(out, sa, sb, m, w, size):
             return out
         out[:] = 0
-    _limb_product(out, a, b, m, _limb_width(bits, shortest, 63), fft=False)
+    _limb_product(out, a, b, m, _limb_width(bits, shortest, 63))
     return out
 
 
@@ -375,18 +378,8 @@ def _limb_width(bits: int, length: int, budget: int) -> int:
     return w
 
 
-def _limb_product(out, a, b, m, w, fft) -> bool:
-    """Fill the zeroed ``out`` with a*b mod m from products of w-bit limbs.
-
-    With fft=True the limb products are float64 FFT convolutions
-    (``_spectral_product``); returns False, leaving ``out`` partial, if any
-    rounds with an error of 1/4 or more.
-    """
-    if fft:
-        size = _fft_size(len(a) + len(b) - 1)
-        sa = _spectra(a, m, w, size)
-        sb = sa if b is a else _spectra(b, m, w, size)
-        return _spectral_product(out, sa, sb, m, w, size)
+def _limb_product(out, a, b, m, w) -> None:
+    """Fill the zeroed ``out`` with a*b mod m by int64 convolutions of w-bit limbs."""
     n = len(out)
     la = _limbs(a, w, _limb_count(m, w))
     lb = la if b is a else _limbs(b, w, len(la))
@@ -395,7 +388,6 @@ def _limb_product(out, a, b, m, w, fft) -> bool:
         for i in rest:
             c += np.convolve(la[i], lb[s - i])[:n]
         _horner_step(out, c, w, m, s == 2 * len(la) - 2)
-    return True
 
 
 def _spectra(x: np.ndarray, m: int, w: int, size: int) -> list:

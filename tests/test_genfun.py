@@ -253,7 +253,7 @@ class TestResidueExponents:
             assert abs(got) <= abs(e) and (got - e) % half == 0
             assert -half / 2 <= got < half / 2
 
-    def test_no_newton_inverse_mod_4_to_32(self, monkeypatch):
+    def test_no_newton_inverse_mod_4_and_8(self, monkeypatch):
         order = 600
         families = [Family.overpartitions(), Family.odd_overpartitions()]
         families += [Family.k_rowed(k) for k in range(1, 14)]
@@ -263,10 +263,19 @@ class TestResidueExponents:
         }
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
         for family in families:
-            for m in moduli:
+            for m in (4, 8):
                 got = build_series(family, order, Mod(m))
                 assert got == want[family, m], (family, m)
-            # mod 64 over is still the Newton inverse: the pin is not vacuous
+            # mod 16 and 32 a positive power of over is the Newton inverse,
+            # and mod 64 every one is: the pin is not vacuous
+            for m in (16, 32):
+                k = 1 if family.k is None else genfun._balanced(family.k, m // 2)
+                if k > 0:
+                    with pytest.raises(AssertionError, match="inverse_of_unit"):
+                        build_series(family, order, Mod(m))
+                else:
+                    got = build_series(family, order, Mod(m))
+                    assert got == want[family, m], (family, m)
             with pytest.raises(AssertionError, match="inverse_of_unit"):
                 build_series(family, order, Mod(64))
 
@@ -323,7 +332,10 @@ LIFT_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions()] + [
 
 
 class TestTwoAdicLift:
-    """over over Z/2^r, r <= 5, lifted from over = phi(q) (mod 4)."""
+    """over over Z/2^r, r <= 3, lifted from over = phi(q) (mod 4).
+
+    Z/16 and Z/32 build over as the Newton inverse, like Z/64.
+    """
 
     @pytest.mark.parametrize("modulus", [2, 4, 8, 16, 32])
     @pytest.mark.parametrize("family", LIFT_FAMILIES, ids=str)
@@ -336,13 +348,19 @@ class TestTwoAdicLift:
 
     @pytest.mark.parametrize("modulus", [4, 8, 16, 32])
     def test_matches_newton_inverse_at_scale(self, modulus):
+        # mod 16 and 32 over is the Newton inverse itself, so those are
+        # checked against the unrolled theta product instead
         ring = Mod(modulus)
         order = 10**5
         got = build_series(Family.overpartitions(), order, ring)
-        want = phi_series(-1, order, ring).inverse_of_unit()
+        if modulus <= 8:
+            want = phi_series(-1, order, ring).inverse_of_unit()
+        else:
+            want = phi_product_approx(modulus.bit_length() - 1, order)
         assert got == want, got.first_mismatch(want)
 
-    @pytest.mark.parametrize("modulus,lifted", [(2, True), (32, True), (64, False),
+    @pytest.mark.parametrize("modulus,lifted", [(2, True), (4, True), (8, True),
+                                                (16, False), (32, False), (64, False),
                                                 (12, False), (3, False)])
     def test_route_rule(self, modulus, lifted, monkeypatch):
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
@@ -384,6 +402,9 @@ class TestClassRoute:
     @example(family=Family.plane(), bits=6, order=1023)
     @example(family=Family.plane(), bits=4, order=63)
     @example(family=Family.plane(), bits=4, order=64)
+    @example(family=Family.plane(), bits=3, order=1499)  # odd order, squared at 749
+    @example(family=Family.plane(), bits=5, order=1025)
+    @example(family=Family.ncolor(), bits=4, order=1023)  # odd at every level
     def test_matches_binomial_kernel(self, family, bits, order):
         ring = Mod(2**bits)
         got = build_series(family, order, ring)
