@@ -226,35 +226,20 @@ class Series:
     __mul__ = mul
 
     def pow(self, e: int) -> "Series":
-        """Repeated-squaring power; ``pow(a, 0)`` is one, ``pow(a, 1)`` is a.
-
-        A base multiplied into the result and then squared is transformed
-        once for both products (``_mul_and_square``).
-        """
+        """Square-and-multiply power; ``pow(a, 0)`` is one, ``pow(a, 1)`` is a."""
         if e < 0:
             raise ValueError("negative exponent: use inverse_of_unit")
         if e == 0:
             return Series.one(self.ring, self.order)
         result = None
         base = self
-        while e > 1:
-            if e & 1 and result is not None:
-                result, base = base._mul_and_square(result)
-            else:
-                if e & 1:
-                    result = base
-                base = base.mul(base)
+        while True:
+            if e & 1:
+                result = base if result is None else result.mul(base)
             e >>= 1
-        return base if result is None else result.mul(base)
-
-    def _mul_and_square(self, other: "Series") -> tuple["Series", "Series"]:
-        """(self*other, self*self); a modular self is transformed once."""
-        self._compat(other)
-        m = self.ring.modulus
-        if m is None:
-            return self.mul(other), self.mul(self)
-        xy, xx = _mul_and_square(self._c, other._c, m)
-        return Series._wrap(self.ring, xy), Series._wrap(self.ring, xx)
+            if not e:
+                return result
+            base = base.mul(base)
 
     __pow__ = pow
 
@@ -341,8 +326,8 @@ class Series:
 # time.  (The check needs that bound: above 2^53 every float is an integer.)
 # Shorter inputs, and products that fail the check, use exact int64
 # np.convolve on limbs narrow enough for int64.  Every FFT product is one
-# ``_spectra`` per operand and one ``_spectral_product``, so ``pow`` and the
-# Newton inverse can reuse an operand's transform across two products.
+# ``_spectra`` per operand and one ``_spectral_product``, so a square and
+# the Newton inverse can reuse an operand's transform.
 _FFT_BITS = 46
 _FFT_MIN_LEN = 256
 _FFT_ODD = (1, 3, 5, 9, 15, 25, 27, 45, 75, 81, 125)
@@ -353,21 +338,16 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
     square = b is a
     a = a[:n]
     b = a if square else b[:n]
-    out = np.zeros(n, dtype=np.int64)
     shortest = min(len(a), len(b))
-    if shortest == 0:
-        return out
-    bits = (m - 1).bit_length()
     if shortest >= _FFT_MIN_LEN:
-        w = _limb_width(bits, shortest, _FFT_BITS)
+        w = _limb_width((m - 1).bit_length(), shortest, _FFT_BITS)
         size = _fft_size(len(a) + len(b) - 1)
         sa = _spectra(a, m, w, size)
         sb = sa if square else _spectra(b, m, w, size)
-        if _spectral_product(out, sa, sb, m, w, size):
+        out = _spectral_product(sa, sb, m, w, size, n)
+        if out is not None:
             return out
-        out[:] = 0
-    _limb_product(out, a, b, m, _limb_width(bits, shortest, 63))
-    return out
+    return _limb_product(a, b, m, n)
 
 
 def _limb_width(bits: int, length: int, budget: int) -> int:
@@ -378,9 +358,10 @@ def _limb_width(bits: int, length: int, budget: int) -> int:
     return w
 
 
-def _limb_product(out, a, b, m, w) -> None:
-    """Fill the zeroed ``out`` with a*b mod m by int64 convolutions of w-bit limbs."""
-    n = len(out)
+def _limb_product(a, b, m, n) -> np.ndarray:
+    """First n coefficients of a*b mod m by int64 convolutions of limbs."""
+    w = _limb_width((m - 1).bit_length(), min(len(a), len(b)), 63)
+    out = np.zeros(n, dtype=np.int64)
     la = _limbs(a, w, _limb_count(m, w))
     lb = la if b is a else _limbs(b, w, len(la))
     for s, (first, *rest) in _limb_shifts(len(la)):
@@ -388,6 +369,7 @@ def _limb_product(out, a, b, m, w) -> None:
         for i in rest:
             c += np.convolve(la[i], lb[s - i])[:n]
         _horner_step(out, c, w, m, s == 2 * len(la) - 2)
+    return out
 
 
 def _spectra(x: np.ndarray, m: int, w: int, size: int) -> list:
@@ -397,17 +379,16 @@ def _spectra(x: np.ndarray, m: int, w: int, size: int) -> list:
     return [rfft(limb, size) for limb in _limbs(x, w, _limb_count(m, w))]
 
 
-def _spectral_product(out, sa, sb, m, w, size, lo=0) -> bool:
-    """Fill the zeroed ``out`` with coefficients lo, lo+1, ... of a*b mod m.
+def _spectral_product(sa, sb, m, w, size, n, lo=0) -> np.ndarray | None:
+    """Coefficients lo, ..., lo+n-1 of a*b mod m, or None on a rounding failure.
 
     ``sa`` and ``sb`` are the ``_spectra`` of a and b at ``size``, so the
     product is cyclic: a coefficient of index i >= size lands on i - size.
-    Returns False, leaving ``out`` partial, if any value used rounds with an
-    error of 1/4 or more.
+    The product fails if any value used rounds with an error of 1/4 or more.
     """
     from numpy.fft import irfft
 
-    n = len(out)
+    out = np.zeros(n, dtype=np.int64)
     for s, (first, *rest) in _limb_shifts(len(sa)):
         spectrum = sa[first] * sb[s - first]
         for i in rest:
@@ -417,9 +398,9 @@ def _spectral_product(out, sa, sb, m, w, size, lo=0) -> bool:
         c = np.rint(x)
         x -= c
         if np.abs(x, out=x).max() >= 0.25:
-            return False
+            return None
         _horner_step(out, c.astype(np.int64), w, m, s == 2 * len(sa) - 2)
-    return True
+    return out
 
 
 def _limb_shifts(k: int):
@@ -437,25 +418,6 @@ def _horner_step(out, c, w, m, top) -> None:
     c %= m
     out[: len(c)] += c
     out %= m
-
-
-def _mul_and_square(x: np.ndarray, y: np.ndarray, m: int):
-    """(x*y, x*x) mod m, truncated at len(x) == len(y), on one transform of x.
-
-    Both products fall back to ``_mul_mod`` if either fails its rounding
-    check.
-    """
-    n = len(x)
-    if n >= _FFT_MIN_LEN:
-        w = _limb_width((m - 1).bit_length(), n, _FFT_BITS)
-        size = _fft_size(2 * n - 1)
-        sx = _spectra(x, m, w, size)
-        xy = np.zeros(n, dtype=np.int64)
-        xx = np.zeros(n, dtype=np.int64)
-        if _spectral_product(xy, sx, _spectra(y, m, w, size), m, w, size):
-            if _spectral_product(xx, sx, sx, m, w, size):
-                return xy, xx
-    return _mul_mod(x, y, m, n), _mul_mod(x, x, m, n)
 
 
 def _newton_step(a: np.ndarray, b: np.ndarray, m: int, p2: int) -> np.ndarray:
@@ -476,10 +438,10 @@ def _newton_step(a: np.ndarray, b: np.ndarray, m: int, p2: int) -> np.ndarray:
         w = _limb_width((m - 1).bit_length(), p, _FFT_BITS)
         size = _fft_size(p2)
         sb = _spectra(b, m, w, size)
-        h = np.zeros(n, dtype=np.int64)
-        if _spectral_product(h, _spectra(a[:p2], m, w, size), sb, m, w, size, p):
-            bh = np.zeros(n, dtype=np.int64)
-            if _spectral_product(bh, _spectra(h, m, w, size), sb, m, w, size):
+        h = _spectral_product(_spectra(a[:p2], m, w, size), sb, m, w, size, n, p)
+        if h is not None:
+            bh = _spectral_product(_spectra(h, m, w, size), sb, m, w, size, n)
+            if bh is not None:
                 return -bh % m
     h = _mul_mod(a[:p2], b, m, p2)[p:]
     return -_mul_mod(b, h, m, n) % m
@@ -604,7 +566,9 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
                 np.subtract(hi, lo, out=hi)
             arr %= m
         return
-    if e < 0 and -e <= t_cap and -e * n <= t_cap:
+    # |e| division passes against t_cap binomial terms, each a sweep of half
+    # the buffer on average; measured break-evens t_cap/|e| ran from 8 to 27
+    if e < 0 and -16 * e <= t_cap:
         if m * (t_cap + 2) < _I64_CAP:
             for _ in range(-e):
                 if sign > 0:

@@ -163,14 +163,7 @@ class TestArithmetic:
             calls.append(1)
             return mul(self, other)
 
-        def counted_pair(x, y, m):
-            calls.extend((1, 1))
-            return mul_and_square(x, y, m)
-
-        # a modular multiply-then-square step is two products on one transform
-        mul_and_square = series_module._mul_and_square
         monkeypatch.setattr(Series, "mul", counted)
-        monkeypatch.setattr(series_module, "_mul_and_square", counted_pair)
         assert s.pow(e) == want
         assert len(calls) == products
 
@@ -250,10 +243,9 @@ class TestModularProducts:
         a, b = np.array(ca, dtype=np.int64), np.array(cb, dtype=np.int64)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + 0.3)
-        out = np.zeros(order + 1, dtype=np.int64)
         size = series_module._fft_size(2 * order + 1)
         sa, sb = (series_module._spectra(x, m, 16, size) for x in (a, b))
-        assert not series_module._spectral_product(out, sa, sb, m, 16, size)
+        assert series_module._spectral_product(sa, sb, m, 16, size, order + 1) is None
         got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
         assert got.tolist() == python_product(ca, cb, m)
 
@@ -265,8 +257,28 @@ class TestModularProducts:
             want = want.mul(s)
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + 0.3)
-        # 7 = 111b: the middle bit multiplies and squares on one transform
+        # 7 = 111b: two squares and two multiplies, each falling back
         assert s.pow(7) == want
+
+    @pytest.mark.parametrize("exact_calls", [1, 3, 6])
+    def test_rounding_failure_after_a_limb_shift(self, monkeypatch, exact_calls):
+        # 4 limbs of 2^61 + 1 make 7 shifts; a product fails part way through
+        m, order = 2**61 + 1, 600
+        ca, cb = random_coeffs(10, m, order + 1), random_coeffs(11, m, order + 1)
+        g, inverse = exact_unit("phi", order)
+        irfft = np.fft.irfft
+        calls = []
+
+        def late_failure(*x, **kw):
+            calls.append(1)
+            return irfft(*x, **kw) + (0.3 if len(calls) > exact_calls else 0.0)
+
+        monkeypatch.setattr(np.fft, "irfft", late_failure)
+        got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
+        assert got.tolist() == python_product(ca, cb, m)
+        calls.clear()
+        got = Series(Mod(m), order, g).inverse_of_unit()
+        assert got.tolist() == [c % m for c in inverse]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -349,14 +361,14 @@ class TestNewtonMiddleProduct:
         spectral_product = series_module._spectral_product
         limb_product = series_module._limb_product
 
-        def spy_spectral(out, sa, sb, m, w, size, lo=0):
-            ok = spectral_product(out, sa, sb, m, w, size, lo)
-            spectral.append((lo, ok))
-            return ok
+        def spy_spectral(sa, sb, m, w, size, n, lo=0):
+            out = spectral_product(sa, sb, m, w, size, n, lo)
+            spectral.append((lo, out is not None))
+            return out
 
-        def spy_limbs(out, a, b, m, w):
+        def spy_limbs(a, b, m, n):
             convolved.append(1)
-            return limb_product(out, a, b, m, w)
+            return limb_product(a, b, m, n)
 
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + 0.3)
@@ -444,6 +456,23 @@ class TestBinomialKernel:
         if n <= order:
             dense[n] = sign
         want = s.mul(Series(ring, order, dense).pow(-e).inverse_of_unit())
+        assert s.mul_binomial_power(sign, n, e) == want
+
+    @pytest.mark.parametrize("order,n,e", [(1000, 60, -1), (2000, 100, -1), (3000, 90, -2)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("modulus", [7, 12, 2**40])
+    def test_large_part_divides_by_passes(self, monkeypatch, order, n, e, sign, modulus):
+        # n above sqrt(order), yet 16*|e| <= order // n: passes, no binomial terms
+        ring = Mod(modulus)
+        s = Series(ring, order, random_coeffs(n, modulus, order + 1))
+        dense = [1] + [0] * order
+        dense[n] = sign
+        want = s.mul(Series(ring, order, dense).pow(-e).inverse_of_unit())
+
+        def no_terms(*args):
+            raise AssertionError("binomial terms used")
+
+        monkeypatch.setattr(series_module, "_binomial_terms", no_terms)
         assert s.mul_binomial_power(sign, n, e) == want
 
 
