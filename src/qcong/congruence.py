@@ -80,22 +80,22 @@ PREDICATES = {
 # -- claim model ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     residue: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equivalent:
     other: Family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claim:
     """family(l*n + b) compared modulo ``modulus`` for n >= n_start."""
 
@@ -110,17 +110,19 @@ class Claim:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise ValueError("modulus must be >= 2")
-        if self.l < 1 or not 0 <= self.b < self.l:
+        if not 0 <= self.b < self.l:  # so l >= 1
             raise ValueError("need l >= 1 and 0 <= b < l")
         if self.n_start < 0:
             raise ValueError("n_start must be >= 0")
-        if isinstance(self.kind, Constant) and not 0 <= self.kind.residue < self.modulus:
-            raise ValueError("constant residue must be reduced")
-        if isinstance(self.kind, Predicate):
-            if self.kind.name not in PREDICATES:
-                raise ValueError(f"unknown predicate {self.kind.name!r}")
+        kind = self.kind
+        if isinstance(kind, Constant):
+            if not 0 <= kind.residue < self.modulus:
+                raise ValueError("constant residue must be reduced")
+        elif isinstance(kind, Predicate):
+            if kind.name not in PREDICATES:
+                raise ValueError(f"unknown predicate {kind.name!r}")
             first = self.l * self.n_start + self.b
-            if self.kind.name == "odd-divisor-formula" and first < 2:
+            if kind.name == "odd-divisor-formula" and first < 2:
                 raise ValueError(
                     f"predicate odd-divisor-formula needs arguments >= 2, but "
                     f"ap.n_start and ap.b give a first argument l*n_start + b = {first}"
@@ -142,7 +144,7 @@ class Claim:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumClaim:
     """sum_i family_i(l*n + b_i) has a constant residue modulo ``modulus``."""
 
@@ -183,7 +185,7 @@ class SumClaim:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Report:
     """Outcome of checking one claim up to a bound.
 
@@ -317,7 +319,7 @@ def _report(claim, bound: int, got, want, b: int, args=None) -> Report:
     want); no members is vacuous; otherwise the claim passes.
     """
     bad = got != want
-    if bad.any():
+    if np.count_nonzero(bad):  # a third of the cost of bad.any()
         i = int(bad.argmax())
         if args is None:
             n = claim.n_start + i

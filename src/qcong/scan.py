@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +40,7 @@ class ScanConfig:
             raise ValueError("l_max and bound must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One constant-residue progression observed up to a bound.
 
@@ -66,18 +66,14 @@ class Finding:
         }
 
 
+# Findings share a few residues below a small modulus: one Constant each
+_constant = functools.lru_cache(maxsize=256, typed=True)(Constant)
+
+
 def _scan_claim(family: Family, modulus: int, l: int, b: int, residue: int) -> Claim:
     """The claim a finding states; progressions with b = 0 start at n = 1."""
     return Claim(f"scan-{family.token}-mod{modulus}-{l}n+{b}", family, modulus,
-                 l, b, Constant(residue), n_start=1 if b == 0 else 0)
-
-
-def _finding(cfg: ScanConfig, l: int, b: int, residue: int, support: int,
-             known: dict) -> Finding:
-    claim = _scan_claim(cfg.family, cfg.modulus, l, b, residue)
-    label = known.get((l, b, residue))
-    status = "candidate" if label is None else f"matches-known:{label}"
-    return Finding(claim, support, cfg.bound, status)
+                 l, b, _constant(residue), 0 if b else 1)
 
 
 @functools.cache
@@ -117,19 +113,19 @@ def _checked_period(cfg: ScanConfig, arr: np.ndarray) -> int | None:
     return period
 
 
-def _constant_columns(arr: np.ndarray, bound: int, l: int, lo: int,
-                      zero: bool) -> np.ndarray:
-    """The constant columns b >= lo of the table for l, and b = 0 when zero.
+def _constant_columns(arr: np.ndarray, bound: int, l: int, lo: int) -> np.ndarray:
+    """The constant columns b = 0 and b >= lo of the table for l.
 
     The first rows are read for every column; a column whose values already
     differ there is dropped, and only the survivors are read to the bound.
     """
     head = arr[: _PREFIX_ROWS * l].reshape(_PREFIX_ROWS, l)
-    alive = (head[2:] == head[1]).all(axis=0)
-    alive[1:] &= head[0, 1:] == head[1, 1:]  # row 0 of b = 0 is a(0)
-    alive[1:lo] = False
-    alive[0] &= zero
-    b = np.flatnonzero(alive)
+    same = head == head[1]
+    same[0, 0] = True  # row 0 of b = 0 is a(0), not a member
+    alive = np.logical_and.reduce(same, axis=0)  # .all(axis=0) costs twice as much
+    if lo > 1:
+        alive[1:lo] = False
+    b = alive.nonzero()[0]
     if not b.size:
         return b
     rows = (bound + 1) // l
@@ -141,6 +137,42 @@ def _constant_columns(arr: np.ndarray, bound: int, l: int, lo: int,
     inside = b < tail.size
     same[inside] &= tail[b[inside]] == residue[inside]
     return b[same]
+
+
+def _live_progressions(arr: np.ndarray, bound: int, l_top: int, period: int | None):
+    """(l, lo, known) for each l <= l_top whose table may hold a constant column.
+
+    The columns b = 0 and b >= lo are to be read, none when lo is None;
+    known are the other columns that the period proves constant (None: no
+    period).  Without a period every column of every l is read.
+    """
+    if period is None:
+        for l in range(1, l_top + 1):
+            yield l, 1, None
+        return
+    ls = np.arange(1, l_top + 1)
+    gs = np.gcd(ls, period)
+    ts = period // gs
+    # b >= 1 has t members up to b = bound - (t - 1) l; b = 0, whose
+    # members start at n = l, has them when bound >= t l.  So lo < l only
+    # when b = 0 is read too (no int64 overflow: l_top < bound and
+    # period <= bound + 1)
+    los = np.minimum(ls, np.maximum(1, bound - (ts - 1) * ls + 1))
+    reads = bound < ts * ls
+    classes = {}  # gcd(l, P) -> its constant classes
+    for g in set(gs.tolist()):
+        one = arr[:period].reshape(period // g, g)
+        classes[g] = np.flatnonzero((one == one[0]).all(axis=0))
+    has_class = np.zeros(period + 1, dtype=bool)
+    has_class[[g for g, c in classes.items() if c.size]] = True
+    live = reads | has_class[gs]
+    for l, g, lo, read in zip(ls[live].tolist(), gs[live].tolist(),
+                              los[live].tolist(), reads[live].tolist()):
+        known = None
+        if classes[g].size:
+            known = (np.arange(0, lo, g)[:, None] + classes[g]).ravel()
+            known = known[(known < lo) & ((known > 0) | (not read))]
+        yield l, lo if read else None, known
 
 
 def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[Finding]:
@@ -160,40 +192,28 @@ def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[F
     l repeats with period T = P/gcd(l, P) in n, and once it has T members it
     has run through every coefficient of one period in class b mod gcd(l, P):
     it is constant exactly when that class is, and no row of it is read.
+    The l with no column left to read and no constant class are skipped
+    before the loop (``_live_progressions``).
     """
     if series is None:
         series = build_series(cfg.family, cfg.bound, Mod(cfg.modulus))
     _check_ring(series, cfg.modulus)
     _require_order(series, cfg.bound, "scan")
-    bound = cfg.bound
+    family, modulus, bound = cfg.family, cfg.modulus, cfg.bound
     arr = series._c[: bound + 1]
-    period = _checked_period(cfg, arr)
-    classes: dict[int, np.ndarray] = {}  # gcd(l, P) -> its constant classes
-    known = _known_constant_claims().get((cfg.family, cfg.modulus), {})
+    # b = 1 has the most members, (bound - 1) // l + 1; support only shrinks
+    # as l grows, and min_support >= 10 leaves at least 9 > _PREFIX_ROWS
+    # full rows for every l read
+    l_top = min(cfg.l_max, (bound - 1) // (cfg.min_support - 1))
+    # the residues in the narrowest dtype that holds them, cheaper to compare
+    narrow = arr.astype(np.min_scalar_type(modulus - 1))
+    period = _checked_period(cfg, narrow)
+    known = _known_constant_claims().get((family, modulus), {})
     reported: dict[int, np.ndarray] = {}  # l -> residue reported at each b, or -1
     findings: list[Finding] = []
-    for l in range(1, cfg.l_max + 1):
-        # b = 1 has the most members; support only shrinks as l grows, and
-        # min_support >= 10 leaves at least 9 > _PREFIX_ROWS full rows here
-        if (bound - 1) // l + 1 < cfg.min_support:
-            break
-        lo, zero = 1, True  # the columns b >= lo, and b = 0 if zero, are read
-        b = None
-        if period is not None:
-            g = math.gcd(l, period)
-            t = period // g
-            # b >= 1 has t members up to b = bound - (t - 1) l; b = 0, whose
-            # members start at n = l, has them when bound >= t l
-            lo = min(l, max(1, bound - (t - 1) * l + 1))
-            zero = bound < t * l
-            if g not in classes:
-                one = arr[:period].reshape(t, g)
-                classes[g] = np.flatnonzero((one == one[0]).all(axis=0))
-            if classes[g].size:
-                b = (np.arange(0, lo, g)[:, None] + classes[g]).ravel()
-                b = b[(b < lo) & ((b > 0) | (not zero))]
-        if lo < l or zero:
-            read = _constant_columns(arr, bound, l, lo, zero)
+    for l, lo, b in _live_progressions(narrow, bound, l_top, period):
+        if lo is not None:
+            read = _constant_columns(narrow, bound, l, lo)
             b = read if b is None else np.sort(np.concatenate([b, read]))
         if b is None or not b.size:
             continue
@@ -209,8 +229,11 @@ def scan_ap_congruences(cfg: ScanConfig, series: Series | None = None) -> list[F
             continue
         reported[l] = np.full(l, -1)
         reported[l][b] = residue
-        findings.extend(_finding(cfg, l, col, res, sup, known) for col, res, sup
-                        in zip(b.tolist(), residue.tolist(), support.tolist()))
+        for col, res, sup in zip(b.tolist(), residue.tolist(), support.tolist()):
+            label = known.get((l, col, res))
+            status = "candidate" if label is None else f"matches-known:{label}"
+            findings.append(Finding(_scan_claim(family, modulus, l, col, res),
+                                    sup, bound, status))
     return findings
 
 
@@ -227,27 +250,66 @@ def empirical_density(family: Family, modulus: int, bound: int,
     return zeros / bound
 
 
-# json.dumps(obj, sort_keys=True) builds this same encoder on every call
-_encode = json.JSONEncoder(sort_keys=True).encode
+# -- the findings file: one JSON object per line --------------------------------
+
+_INT_FIELDS = ("modulus", "l", "b", "c", "support", "bound")
+
+
+def _ill_typed(fields: dict) -> str:
+    """Which of a finding's fields is not an int (or, last, a string status)."""
+    for key in _INT_FIELDS:
+        if type(fields[key]) is not int:
+            return f"field {key!r} must be an integer, got {fields[key]!r}"
+    return f"field 'status' must be a string, got {fields['status']!r}"
+
+
+# json.dumps(f.to_json(), sort_keys=True) for a finding whose numbers are
+# ints: the fields in sorted order, each string quoted by json.dumps (tests
+# check it against ``Finding.to_json``)
+_LINE = ('{"b": %d, "bound": %d, "c": %d, "family": %s, "l": %d, "modulus": %d, '
+         '"status": %s, "support": %d}\n')
+
+
+class _Quoted(dict):
+    """JSON string literals, each encoded on first use."""
+
+    def __missing__(self, value):
+        self[value] = quoted = json.dumps(value)
+        return quoted
 
 
 def persist_findings(findings, path) -> None:
-    """Append findings to a JSONL file, one per line, in one write."""
-    text = "".join(_encode(f.to_json()) + "\n" for f in findings)
+    """Append findings to a JSONL file, one per line, in one write.
+
+    Every finding must load back: numbers that are not ints, or a status
+    that is not a string, raise ValueError and nothing is written.
+    """
+    quoted = _Quoted()  # the family tokens and statuses of this call
+    lines = []
+    for f in findings:
+        c = f.claim
+        b, residue, l, modulus, support, bound = (c.b, c.kind.residue, c.l, c.modulus,
+                                                  f.support, f.bound)
+        if not (type(b) is type(residue) is type(l) is type(modulus) is type(support)
+                is type(bound) is int and type(f.status) is str):
+            raise ValueError(f"finding {c.label}: {_ill_typed(f.to_json())}")
+        lines.append(_LINE % (b, bound, residue, quoted[c.family.token], l, modulus,
+                              quoted[f.status], support))
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("".join(lines))
 
 
-def _decoded_family(token, families: dict) -> Family:
-    """The family a token names, decoded once per ``families`` cache."""
-    family = families.get(token) if isinstance(token, str) else None
-    if family is None:
-        family = families[token] = Family.from_token(token)
-    return family
+# json.loads(s) is raw_decode plus a check that nothing follows the value
+_decode = json.JSONDecoder().raw_decode
+_fields = operator.itemgetter("family", *_INT_FIELDS, "status")
 
 
 def load_findings(path) -> list[Finding]:
-    """Round-trip JSONL findings; malformed lines carry their line number."""
+    """Round-trip JSONL findings; malformed lines carry their line number.
+
+    Each line is one JSON object; ``b``, ``bound``, ``c``, ``l``, ``modulus``
+    and ``support`` must be integers (not booleans) and ``status`` a string.
+    """
     findings: list[Finding] = []
     seen: set[str] = set()
     families: dict[str, Family] = {}
@@ -257,10 +319,19 @@ def load_findings(path) -> list[Finding]:
             if not line:
                 continue
             try:
-                raw = json.loads(line)
-                claim = _scan_claim(_decoded_family(raw["family"], families), raw["modulus"],
-                                    raw["l"], raw["b"], raw["c"])
-                finding = Finding(claim, raw["support"], raw["bound"], raw["status"])
+                raw, end = _decode(line)
+                if end != len(line):
+                    raise ValueError(f"unexpected data after column {end}")
+                token, modulus, l, b, c, support, bound, status = _fields(raw)
+                if not (type(modulus) is type(l) is type(b) is type(c) is type(support)
+                        is type(bound) is int and type(status) is str):
+                    raise ValueError(_ill_typed(raw))
+                # each token is decoded once per file
+                family = families.get(token) if isinstance(token, str) else None
+                if family is None:
+                    family = families[token] = Family.from_token(token)
+                claim = _scan_claim(family, modulus, l, b, c)
+                finding = Finding(claim, support, bound, status)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed finding on line {lineno}: {exc}") from exc
             if claim.label in seen:

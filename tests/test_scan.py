@@ -1,5 +1,8 @@
 import json
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from qcong.congruence import Claim, Constant, builtin_suite
 from qcong.genfun import Family
 from qcong.periodicity import kwong_period
+from qcong import scan
 from qcong.scan import (
     Finding,
     ScanConfig,
@@ -209,6 +213,16 @@ class TestScanMatchesLoop:
         assert found == scan_reference(cfg, series)
         assert any(l == 10 for l, *_ in found) == (min_support <= 20)
 
+    @pytest.mark.parametrize("bits", [9, 17, 33, 61])
+    def test_residues_wider_than_a_byte(self, bits):
+        # m/2 and 0 agree in every narrower dtype: they must still differ
+        m = 2**bits
+        coeffs = [(m // 2) * (i % 3 == 0) + i % 2 for i in range(601)]
+        cfg = ScanConfig(Family.plane(), m, 40, 600, 10)
+        found = scanned(cfg, Series(Mod(m), 600, coeffs))
+        assert found == scan_reference(cfg, coeffs)
+        assert {res for _, _, res, _ in found} == {0, 1, m // 2, m // 2 + 1}
+
     def test_series_in_another_ring_is_rejected(self):
         series = build_series(Family.overpartitions(), 400, Mod(16))
         cfg = ScanConfig(Family.overpartitions(), 8, 8, 400)
@@ -261,6 +275,14 @@ class TestPeriodRoute:
         assert all((l, b) != (12, 4) for l, b, _, _ in found)
         assert (24, 16, 0, 16) in found  # no longer implied by (12, 4)
 
+    def test_constant_column_read_and_proven_is_reported_once(self):
+        # below one period (12) column n (n >= 1) is read, and its class
+        # mod 1 is constant too: the finding must not come twice
+        family = Family.restricted([1, 3])
+        series = Series(Mod(4), 11, [2] * 12)
+        cfg = ScanConfig(family, 4, 3, 11, min_support=10)
+        assert scanned(cfg, series) == scan_reference(cfg, series) == [(1, 0, 2, 11)]
+
     @pytest.mark.parametrize("hot, column", [(8, (5, 1, 0, 11)), (0, (5, 0, 0, 11))])
     def test_column_one_member_short_of_a_period(self, hot, column):
         # Kwong's period of parts {1, 3} mod 4 is 12, and gcd(5, 12) = 1.  Up
@@ -274,6 +296,16 @@ class TestPeriodRoute:
         found = scanned(cfg, series)
         assert found == scan_reference(cfg, series)
         assert column in found
+
+    def test_only_column_zero_one_member_short_of_a_period(self):
+        # as above up to 59 = 5*12 - 1: every 5n + b with b >= 1 now has a
+        # whole period, so l = 5 has no column to read but 5n (n >= 1)
+        family = Family.restricted([1, 3])
+        series = Series(Mod(4), 59, [int(n % 12 == 0) for n in range(60)])
+        cfg = ScanConfig(family, 4, 6, 59, min_support=10)
+        found = scanned(cfg, series)
+        assert found == scan_reference(cfg, series)
+        assert (5, 0, 0, 11) in found
 
 
 class TestDensity:
@@ -392,3 +424,101 @@ class TestPersistence:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert load_findings(path) == []
+
+
+_FAMILIES = st.one_of(
+    st.sampled_from([Family.overpartitions(), Family.odd_overpartitions(),
+                     Family.plane(), Family.ncolor()]),
+    st.integers(1, 99).map(Family.k_rowed),
+    st.lists(st.integers(1, 10**6), min_size=1, max_size=40).map(Family.restricted),
+)
+# quotes, backslashes, control and non-ASCII characters all need escaping
+_AWKWARD = st.text(st.sampled_from('"\\/:-ab\n\t\x00\x7f\u00e9\u2028\u20ac\U0001d52e'),
+                   max_size=12)
+_STATUSES = st.one_of(st.just("candidate"),
+                      _AWKWARD.map(lambda s: f"matches-known:{s}"),
+                      _AWKWARD, st.text(max_size=20))
+
+
+@st.composite
+def _findings(draw):
+    family = draw(_FAMILIES)
+    modulus = draw(st.integers(2, 2**70))
+    l = draw(st.integers(1, 10**12))
+    b = draw(st.integers(0, l - 1))
+    residue = draw(st.integers(0, modulus - 1))
+    return Finding(scan._scan_claim(family, modulus, l, b, residue),
+                   draw(st.integers(0, 10**20)), draw(st.integers(0, 10**20)),
+                   draw(_STATUSES))
+
+
+def _line(**changes) -> str:
+    """One finding line as json.dumps writes it, with some fields changed."""
+    good = {"b": 1, "bound": 4000, "c": 0, "family": "plk4", "l": 2, "modulus": 8,
+            "status": "candidate", "support": 2000}
+    return json.dumps({**good, **changes}, sort_keys=True)
+
+
+class TestFindingsCodec:
+    """One template writes each line and one decoder reads it back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_findings(), max_size=6, unique_by=lambda f: f.claim.label))
+    def test_lines_are_json_dumps_and_load_back(self, findings):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "findings.jsonl"
+            persist_findings(findings, path)
+            lines = path.read_bytes().decode("utf-8").split("\n")
+            assert lines.pop() == ""
+            assert lines == [json.dumps(f.to_json(), sort_keys=True) for f in findings]
+            assert load_findings(path) == findings
+
+    def test_template_has_the_fields_of_to_json(self):
+        finding = scan_ap_congruences(ScanConfig(Family.k_rowed(4), 8, 12, 400))[0]
+        assert re.findall(r'"(\w+)": ', scan._LINE) == sorted(finding.to_json())
+
+    @pytest.mark.parametrize("bad, message", [
+        (_line() + _line(b=0), f"unexpected data after column {len(_line())}"),
+        (_line() + "  x", f"unexpected data after column {len(_line())}"),
+        (_line() + "}", f"unexpected data after column {len(_line())}"),
+        (_line(l=2.0), "field 'l' must be an integer, got 2.0"),
+        (_line(c=1.5), "field 'c' must be an integer, got 1.5"),
+        (_line(status=None), "field 'status' must be a string, got None"),
+        (_line(status=3), "field 'status' must be a string, got 3"),
+        (_line(support="x"), "field 'support' must be an integer, got 'x'"),
+        (_line(b=True), "field 'b' must be an integer, got True"),
+        (_line(bound=4000.0), "field 'bound' must be an integer, got 4000.0"),
+        (_line(modulus=False), "field 'modulus' must be an integer, got False"),
+        (_line(l=2.0, c=1.5, status=None, support="x"),
+         "field 'l' must be an integer, got 2.0"),
+    ], ids=["two-objects", "trailing-garbage", "extra-brace", "l-float", "c-float",
+            "status-null", "status-int", "support-string", "b-bool", "bound-float",
+            "modulus-bool", "first-bad-field-named"])
+    def test_malformed_line_is_rejected_with_its_number(self, tmp_path, bad, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(["", _line(b=0), "", bad, _line(l=3)]) + "\n")
+        with pytest.raises(ValueError, match=f"line 4: {re.escape(message)}$"):
+            load_findings(path)
+
+    def test_blank_lines_skipped_and_duplicates_warn_once(self, tmp_path):
+        path = tmp_path / "findings.jsonl"
+        path.write_text("\n".join(["", _line(), "  ", _line(b=0), _line(), "", ""]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            back = load_findings(path)
+        assert [f.claim.label for f in back] == ["scan-plk4-mod8-2n+1", "scan-plk4-mod8-2n+0"]
+        assert [str(w.message) for w in caught] == [
+            f"{path}: duplicate finding scan-plk4-mod8-2n+1 on line 5"]
+
+    @pytest.mark.parametrize("field, finding", [
+        ("b", Finding(scan._scan_claim(Family.k_rowed(4), 8, 2, True, 0), 20, 40, "x")),
+        ("c", Finding(scan._scan_claim(Family.k_rowed(4), 8, 2, 1, 1.0), 20, 40, "x")),
+        ("support", Finding(scan._scan_claim(Family.k_rowed(4), 8, 2, 1, 0), 20.5, 40, "x")),
+        ("status", Finding(scan._scan_claim(Family.k_rowed(4), 8, 2, 1, 0), 20, 40, None)),
+    ], ids=["b", "c", "support", "status"])
+    def test_persist_writes_nothing_that_would_not_load(self, tmp_path, field, finding):
+        good = scan_ap_congruences(ScanConfig(Family.k_rowed(4), 8, 12, 400))
+        path = tmp_path / "findings.jsonl"
+        with pytest.raises(ValueError, match=f"field '{field}' must be"):
+            persist_findings(good + [finding], path)
+        assert not path.exists()
