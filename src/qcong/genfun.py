@@ -203,20 +203,18 @@ def _restricted_by_period(family: Family, order: int, ring: Ring) -> Series | No
     ``kwong_period`` refuses the period or when the check fails; the caller
     then builds the whole order with the kernel.
     """
-    from .periodicity import kwong_period  # only restricted builds pay for it
+    from .periodicity import _two_adic_period  # only restricted builds pay for it
 
-    try:
-        period = kwong_period(family.parts, 2, ring.modulus.bit_length() - 1).period
-    except ValueError:  # a period of more than 4300 digits
-        return None
+    period = _two_adic_period(family.parts, ring.modulus)
     depth = sum(family.parts)
-    if period + depth > order + 1:
+    if period is None or period + depth > order + 1:
         return None
     head = binomial_product(ring, period + depth - 1,
                             _family_factors(family, order))._c
     if not np.array_equal(head[period:], head[:depth]):
         return None
-    return Series._wrap(ring, np.resize(head[:period], order + 1))
+    reps = -(-(order + 1) // period)
+    return Series._wrap(ring, np.tile(head[:period], reps)[: order + 1])
 
 
 def _plane_exact(order: int) -> Series:

@@ -106,7 +106,10 @@ def kwong_period(parts, ell: int, power: int) -> PeriodReport:
     if size > _PERIOD_DIGITS + 1 or (
         size > _PERIOD_DIGITS - 1 and ell**exponent * m >= 10**_PERIOD_DIGITS
     ):
-        raise ValueError(f"the period {ell}^{exponent} * {m} has about "
+        # an m of more than 4300 digits cannot be printed either
+        m_text = m if m < 10**_PERIOD_DIGITS else (
+            f"(an integer of about {int(math.log10(m)) + 1} digits)")
+        raise ValueError(f"the period {ell}^{exponent} * {m_text} has about "
                          f"{int(size) + 1} digits, more than the limit of "
                          f"{_PERIOD_DIGITS}")
     return PeriodReport(
@@ -117,6 +120,18 @@ def kwong_period(parts, ell: int, power: int) -> PeriodReport:
         m_value=m,
         period=ell**exponent * m,
     )
+
+
+def _two_adic_period(parts, modulus: int) -> int | None:
+    """Kwong's period of the parts mod ``modulus`` = 2^r, or None when refused.
+
+    ``kwong_period`` refuses a period of more than 4300 digits; a build or a
+    scan then goes without one.
+    """
+    try:
+        return kwong_period(parts, 2, modulus.bit_length() - 1).period
+    except ValueError:
+        return None
 
 
 def _strong_probable_prime(n: int) -> bool:

@@ -101,16 +101,17 @@ def _checked_period(cfg: ScanConfig, arr: np.ndarray) -> int | None:
 
     The period is trusted only after the truncation shows it: it fits in the
     coefficients read and every one repeats after it.  A series that fails
-    (a caller's ``series=`` need not be the family's) gets None.
+    (a caller's ``series=`` need not be the family's) gets None, and so
+    does a family whose period ``kwong_period`` refuses.
     """
     if cfg.family.kind != "restricted":
         return None
-    from .periodicity import kwong_period  # only restricted scans pay for it
+    from .periodicity import _two_adic_period  # only restricted scans pay for it
 
-    period = kwong_period(cfg.family.parts, 2, cfg.modulus.bit_length() - 1).period
-    if period > arr.size or not np.array_equal(arr[period:], arr[:-period]):
+    period = _two_adic_period(cfg.family.parts, cfg.modulus)
+    if period is None or period > arr.size:
         return None
-    return period
+    return period if np.array_equal(arr[period:], arr[:-period]) else None
 
 
 def _constant_columns(arr: np.ndarray, bound: int, l: int, lo: int) -> np.ndarray:

@@ -478,9 +478,10 @@ def _fft_size(n: int) -> int:
 def binomial_product(ring: Ring, order: int, factors) -> Series:
     """Product of binomial factors (1 + sign*q^n)^e over one shared buffer.
 
-    ``factors`` yields (sign, n, e) triples.  This is the workhorse behind
-    every generating-function constructor; it avoids allocating an
-    intermediate Series per factor.
+    ``factors`` yields (sign, n, e) triples.  It builds the restricted
+    families, the modular plane families off the class route, and the
+    reference that every faster route is tested against; it avoids
+    allocating an intermediate Series per factor.
     """
     if ring.exact:
         buf = [0] * (order + 1)
@@ -555,53 +556,41 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
     t_cap = top // n
     if e == 0 or t_cap == 0:
         return
-    if 0 < e <= 2:
-        hi, lo = arr[n:], arr[:-n]
-        for _ in range(e):
-            # numpy buffers overlapping ufunc operands, so the shifted
-            # operand is read entirely from pre-pass values
-            if sign > 0:
-                np.add(hi, lo, out=hi)
-            else:
-                np.subtract(hi, lo, out=hi)
-            arr %= m
-        return
     # |e| division passes against t_cap binomial terms, each a sweep of half
     # the buffer on average; measured break-evens t_cap/|e| ran from 8 to 27
-    if e < 0 and -16 * e <= t_cap:
-        if m * (t_cap + 2) < _I64_CAP:
-            for _ in range(-e):
-                if sign > 0:
-                    # 1/(1+x) = (1-x)/(1-x^2); the subtraction reads pre-pass
-                    # values, as in the multiplication passes above
-                    np.subtract(arr[n:], arr[:-n], out=arr[n:])
-                    _divide_one_minus(arr, 2 * n)
-                else:
-                    _divide_one_minus(arr, n)
-                arr %= m
-            return
-    t_max = t_cap if e < 0 else min(e, t_cap)
-    terms = _binomial_terms(sign, e, t_max)
-    if (m - 1) * (m - 1) * (t_max + 2) < _I64_CAP:
-        snap = arr.copy()
-        for t in range(1, t_max + 1):
-            ct = terms[t] % m
-            if ct:
-                arr[n * t :] += ct * snap[: top + 1 - n * t]
-        arr %= m
-    elif (m - 1) * (m - 1) + m < _I64_CAP:
-        snap = arr.copy()
-        for t in range(1, t_max + 1):
-            ct = terms[t] % m
-            if ct:
-                view = arr[n * t :]
-                np.add(view, ct * snap[: top + 1 - n * t], out=view)
-                view %= m
-    else:
+    if e < 0 and -16 * e <= t_cap and m * (t_cap + 2) < _I64_CAP:
+        for _ in range(-e):
+            if sign > 0:
+                # 1/(1+x) = (1-x)/(1-x^2); numpy buffers the overlapping
+                # operands, so the subtraction reads pre-pass values
+                np.subtract(arr[n:], arr[:-n], out=arr[n:])
+                _divide_one_minus(arr, 2 * n)
+            else:
+                _divide_one_minus(arr, n)
+            arr %= m
+        return
+    if (m - 1) * (m - 1) + m >= _I64_CAP:
         # enormous modulus: do it with Python integers
         buf = [int(x) for x in arr]
         _apply_exact(buf, sign, n, e)
         arr[:] = np.fromiter((c % m for c in buf), dtype=np.int64, count=top + 1)
+        return
+    t_max = t_cap if e < 0 else min(e, t_cap)
+    terms = _binomial_terms(sign, e, t_max)
+    # a term adds at most (m-1)^2; reduce after each one only when the sum
+    # of all of them could leave int64
+    each = (m - 1) * (m - 1) * (t_max + 2) >= _I64_CAP
+    snap = arr.copy()
+    for t in range(1, t_max + 1):
+        ct = terms[t] % m
+        if ct:
+            view = arr[n * t :]
+            src = snap[: top + 1 - n * t]
+            view += src if ct == 1 else ct * src
+            if each:
+                view %= m
+    if not each:
+        arr %= m
 
 
 def _divide_one_minus(buf: np.ndarray, stride: int) -> None:

@@ -4,8 +4,11 @@ None of them goes through ``genfun.build_series``: the binomial kernel
 applied to a family's factors, the two sides of the theta identities, the
 square-count series, the 2-adic expansion and the finite theta product of
 the overpartition series, and the factor (1+q^n)/(1-q^n).  Also the
-shift-by-shift period scan that ``periodicity.empirical_period`` replaced.
+shift-by-shift period scan that ``periodicity.empirical_period`` replaced,
+and a restricted family whose Kwong period is too long to print.
 """
+
+import math
 
 from qcong import genfun
 from qcong.genfun import Family, phi_series
@@ -140,3 +143,10 @@ def byte_scan_period(series: Series, max_period: int) -> int | None:
         if buf[d * step :] == buf[: -d * step]:
             return d
     return None
+
+
+# Parts 1 and the first 1200 primes from 1009: the 2-free part of their lcm
+# has about 4443 digits, so ``kwong_period`` refuses every period mod 2^r.
+UNPRINTABLE_LCM_PARTS = [1] + [
+    p for p in range(1009, 11318) if all(p % d for d in range(2, math.isqrt(p) + 1))
+]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qcong import congruence
 from qcong.cli import main
 from qcong.congruence import PREDICATES
+from references import UNPRINTABLE_LCM_PARTS
 
 
 def run(capsys, *argv):
@@ -354,6 +355,15 @@ class TestPeriod:
         assert proc.stderr.endswith("more than the limit of 4300\n")
         assert proc.stderr.count("\n") == 1
 
+    def test_unprintable_lcm_part_is_the_refusal_line(self, capsys):
+        parts = ",".join(map(str, UNPRINTABLE_LCM_PARTS))
+        code, out, err = run(capsys, "period", "--parts", parts, "--prime", "2",
+                             "--power", "3")
+        assert code == 1 and out == ""
+        assert err == ("error: the period 2^13 * (an integer of about 4443 "
+                       "digits) has about 4447 digits, more than the limit of "
+                       "4300\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_period_at_the_digit_limit_prints(self, capsys, fmt):
         # parts 1,2 mod 2^N: b = 2, so the period is 2^(N+1), 4300 digits
@@ -460,6 +470,16 @@ class TestMemoryError:
 
 
 class TestScanAndDensity:
+    @pytest.mark.parametrize("command,tail", [
+        ("scan", ["--lmax", "6"]), ("density", [])])
+    def test_refused_kwong_period_goes_without_one(self, capsys, command, tail):
+        parts = ",".join(map(str, UNPRINTABLE_LCM_PARTS))
+        code, out, err = run(capsys, command, "restricted", "--parts", parts,
+                             "--mod", "8", "--bound", "300", *tail)
+        assert code == 0 and err == ""
+        assert out.endswith("a(1n+0) = 1  support=300\n" if command == "scan"
+                            else "zeros=0 bound=300 density=0.000000\n")
+
     def test_scan_text(self, capsys):
         code, out, _ = run(
             capsys,

@@ -13,7 +13,7 @@ from qcong.periodicity import (
     kwong_period,
 )
 from qcong.series import EXACT, Mod, Series
-from references import byte_scan_period, f_series
+from references import UNPRINTABLE_LCM_PARTS, byte_scan_period, f_series
 
 WORKED_EXAMPLE = [1, 1, 2, 2, 2, 4, 4, 5]
 
@@ -86,6 +86,15 @@ class TestPrimeBound:
         with pytest.raises(ValueError, match="about 4301 digits, more than the "
                                              "limit of 4300"):
             kwong_period([3], 3, 9013)
+
+    def test_refusal_names_an_unprintable_lcm_by_its_digits(self):
+        # m, the 2-free part of the lcm, has more than 4300 digits itself,
+        # so the message gives its size, not its digits
+        with pytest.raises(ValueError) as info:
+            kwong_period(UNPRINTABLE_LCM_PARTS, 2, 3)
+        assert str(info.value) == (
+            "the period 2^13 * (an integer of about 4443 digits) has about "
+            "4447 digits, more than the limit of 4300")
 
 
 class TestKwongParameters:

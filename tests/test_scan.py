@@ -22,6 +22,7 @@ from qcong.scan import (
 )
 from qcong.series import Mod, Series
 from qcong.genfun import build_series
+from references import UNPRINTABLE_LCM_PARTS
 
 
 def scan_reference(cfg, series):
@@ -296,6 +297,17 @@ class TestPeriodRoute:
         found = scanned(cfg, series)
         assert found == scan_reference(cfg, series)
         assert column in found
+
+    def test_refused_period_scans_the_plain_way(self):
+        # kwong_period refuses the period, so the scan, like the build,
+        # goes without one
+        with pytest.raises(ValueError, match="digits"):
+            kwong_period(UNPRINTABLE_LCM_PARTS, 2, 3)
+        family = Family.restricted(UNPRINTABLE_LCM_PARTS)
+        cfg = ScanConfig(family, 8, 6, 300)
+        series = build_series(family, 300, Mod(8))
+        assert scanned(cfg, None) == scan_reference(cfg, series) == [
+            (1, 0, 1, 300)]
 
     def test_only_column_zero_one_member_short_of_a_period(self):
         # as above up to 59 = 5*12 - 1: every 5n + b with b >= 1 now has a

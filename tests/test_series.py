@@ -643,6 +643,52 @@ class TestLargeModulusFallbacks:
         assert got == want
 
 
+# The kernel's int64 headroom edges: (m-1)^2 * (t_max + 2) reaches 2^63 at
+# t_max = 1 between the first two moduli (one reduction at the end, then one
+# per term), and (m-1)^2 + m reaches it between the last two (int64 terms,
+# then Python integers).
+HEADROOM_MODULI = [1753413057, 1753413058, 3037000500, 3037000501]
+HEADROOM_ORDER = 60
+
+
+def headroom_factors():
+    """Factors that reach every path of the kernel at HEADROOM_ORDER.
+
+    Both signs with e = -3..3 at n = 1 (division passes), 7 (terms) and 31
+    (t_max = 1), and (+/-1, n, +/-n).  (+1, n, 1) has the coefficient 1 and
+    (-1, n, 1) the coefficient m - 1.
+    """
+    for sign in (1, -1):
+        for n in (1, 7, 31):
+            for e in range(-3, 4):
+                yield sign, n, e
+        for n in (2, 5, 10):
+            yield sign, n, n
+            yield sign, n, -n
+
+
+class TestKernelHeadroom:
+    """Each kernel path against the exact kernel reduced mod m, at the edges."""
+
+    @pytest.mark.parametrize("m", HEADROOM_MODULI)
+    @pytest.mark.parametrize("fill", ["top", "random"])
+    def test_mul_binomial_power(self, m, fill):
+        # residues m - 1 everywhere make every term as large as it can be
+        coeffs = ([m - 1] * (HEADROOM_ORDER + 1) if fill == "top"
+                  else random_coeffs(m, m, HEADROOM_ORDER + 1))
+        exact = Series(EXACT, HEADROOM_ORDER, coeffs)
+        modular = Series(Mod(m), HEADROOM_ORDER, coeffs)
+        for factor in headroom_factors():
+            want = exact.mul_binomial_power(*factor).reduce_mod(m)
+            assert modular.mul_binomial_power(*factor) == want, factor
+
+    @pytest.mark.parametrize("m", HEADROOM_MODULI)
+    def test_binomial_product(self, m):
+        factors = list(headroom_factors())
+        want = binomial_product(EXACT, HEADROOM_ORDER, factors).reduce_mod(m)
+        assert binomial_product(Mod(m), HEADROOM_ORDER, factors) == want
+
+
 def test_binomial_product_overpartition_prefix():
     def factors():
         for n in range(1, 5):
