@@ -182,26 +182,24 @@ def _cmd_enumerate(args) -> int:
     max_rows = family.k
     budget = oracles.DEFAULT_BUDGET if args.budget is None else args.budget
     diagrams: list[str] = []
-    if family.kind in ("plane", "plk"):
-        if _count_exceeds(n, family, budget):
-            raise ValueError("enumeration budget exceeded")
-        try:
+    if family.kind in ("plane", "plk") and _count_exceeds(n, family, budget):
+        raise ValueError("enumeration budget exceeded")
+    try:
+        if family.kind in ("plane", "plk"):
             if args.diagrams:
                 objs = list(oracles.plane_overpartitions(n, max_rows, budget))
                 count = len(objs)
                 diagrams = [oracles.render(p) for p in objs]
             else:
                 count = oracles.count_plane_overpartitions(n, max_rows, budget)
-        except oracles.BudgetExceeded as exc:
-            raise ValueError(exc) from None
-    elif family.kind == "over":
-        count = oracles.count_overpartitions(n)
-    elif family.kind == "oddover":
-        count = oracles.count_overpartitions(n, odd_parts_only=True)
-    elif family.kind == "ncolor":
-        count = oracles.count_ncolor_overpartitions(n)
-    else:
-        count = oracles.count_partitions_multiset(n, family.parts)
+        elif family.kind in ("over", "oddover"):
+            count = oracles.count_overpartitions(n, family.kind == "oddover", budget)
+        elif family.kind == "ncolor":
+            count = oracles.count_ncolor_overpartitions(n, budget)
+        else:
+            count = oracles.count_partitions_multiset(n, family.parts, budget)
+    except oracles.BudgetExceeded as exc:
+        raise ValueError(exc) from None
     lines = [str(count)]
     for d in diagrams:
         lines.append("")

@@ -10,7 +10,7 @@ overpartitions modulo 4, 8, 12 and 64 under stable labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .genfun import Family, build_series
 from .series import Ring, Series

@@ -118,6 +118,13 @@ class Family:
     def __str__(self) -> str:
         return self.token
 
+    # the token is injective on valid families and cached, so keys stay cheap
+    def __eq__(self, other) -> bool:
+        return self.token == other.token if isinstance(other, Family) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.token)
+
 
 def _family_factors(family: Family, order: int):
     if family.kind == "restricted":
@@ -173,13 +180,10 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     if family.kind == "plk":
         k = family.k
         half = _two_power_half(ring)
-        out = _over_power(_balanced(k, half), order, ring)
-        for i in range(1, min(k, order + 1)):
-            e = _balanced(k - i, half)
-            if e:
-                out = out.mul_binomial_power(-1, i, e)
-                out = out.mul_binomial_power(+1, i, -e)
-        return out
+        corrections = [(sign, i, -sign * e) for i in range(1, min(k, order + 1))
+                       if (e := _balanced(k - i, half)) for sign in (-1, +1)]
+        return binomial_product(ring, order, corrections,
+                                _over_power(_balanced(k, half), order, ring))
     if family.kind in ("plane", "ncolor"):
         if ring.exact:
             return _plane_exact(order)

@@ -3,8 +3,8 @@
 Everything here is deliberately naive backtracking over explicit objects, so
 it can be trusted independently of the series machinery it cross-checks.
 Feasible range is roughly n <= 12 for plane families and n <= 30 for the
-one-dimensional ones; a budget on cell visits and yielded plane
-overpartitions guards against accidental large-n calls.
+one-dimensional ones; every oracle charges a budget, one step per node
+visited and one per object yielded, against accidental large-n calls.
 """
 
 from __future__ import annotations
@@ -38,19 +38,28 @@ class _Budget:
 
 
 def partitions(n: int, max_part: int | None = None, odd_only: bool = False,
-               distinct: bool = False):
-    """Yield partitions of n as weakly decreasing tuples of positive parts."""
+               distinct: bool = False, budget: int | None = DEFAULT_BUDGET):
+    """Yield partitions of n as weakly decreasing tuples of positive parts.
+
+    Each node visited and each partition yielded costs one step of ``budget``.
+    """
+    return _partitions(n, max_part, odd_only, distinct, _Budget(budget))
+
+
+def _partitions(n, max_part, odd_only, distinct, tracker):
     if n < 0:
         return
     if n == 0:
+        tracker.charge()
         yield ()
         return
     hi = n if max_part is None else min(n, max_part)
     for first in range(hi, 0, -1):
         if odd_only and first % 2 == 0:
             continue
+        tracker.charge()
         rest_max = first - 1 if distinct else first
-        for rest in partitions(n - first, rest_max, odd_only, distinct):
+        for rest in _partitions(n - first, rest_max, odd_only, distinct, tracker):
             yield (first,) + rest
 
 
@@ -75,41 +84,53 @@ def overpartitions(n: int, odd_parts_only: bool = False):
                 yield Overpartition(p, frozenset(chosen))
 
 
-def count_overpartitions(n: int, odd_parts_only: bool = False) -> int:
-    """Count by splitting into a distinct-parts piece and a free piece."""
+def count_overpartitions(n: int, odd_parts_only: bool = False,
+                         budget: int | None = DEFAULT_BUDGET) -> int:
+    """Count by splitting into a distinct-parts piece and a free piece.
+
+    One ``budget`` is charged by every partition enumerated on the way.
+    """
     if n == 0:
         return 1
-    free = [sum(1 for _ in partitions(j, odd_only=odd_parts_only))
-            for j in range(n + 1)]
-    dist = [sum(1 for _ in partitions(j, odd_only=odd_parts_only, distinct=True))
-            for j in range(n + 1)]
+    tracker = _Budget(budget)
+
+    def counts(distinct):
+        return [sum(1 for _ in _partitions(j, None, odd_parts_only, distinct, tracker))
+                for j in range(n + 1)]
+
+    free, dist = counts(False), counts(True)
     return sum(dist[j] * free[n - j] for j in range(n + 1))
 
 
-def count_partitions_multiset(n: int, parts) -> int:
+def count_partitions_multiset(n: int, parts,
+                              budget: int | None = DEFAULT_BUDGET) -> int:
     """Partitions of n into parts from a multiset, entries used independently.
 
     ``parts`` is an iterable of parts with repetition; each entry may be used
     any number of times, and repeated entries of equal value count as
-    distinct sources.
+    distinct sources.  Plain backtracking on an explicit stack of the
+    remainders left to try per entry, so any number of entries works; each
+    node visited and each partition counted costs one step of ``budget``.
     """
     entries = tuple(parts)
     if any(p < 1 for p in entries):
         raise ValueError("parts must be positive")
-
-    def count(remaining: int, i: int) -> int:
+    tracker = _Budget(budget)
+    total = 0
+    stack = [(0, iter((n,)))]  # (entry index, remainders still to visit)
+    while stack:
+        i, remainders = stack[-1]
+        remaining = next(remainders, None)
+        if remaining is None:
+            stack.pop()
+            continue
+        tracker.charge()
         if remaining == 0:
-            return 1
-        if i == len(entries):
-            return 0
-        total = 0
-        used = 0
-        while used <= remaining:
-            total += count(remaining - used, i + 1)
-            used += entries[i]
-        return total
-
-    return count(n, 0)
+            tracker.charge()
+            total += 1
+        elif i < len(entries):
+            stack.append((i + 1, iter(range(remaining, -1, -entries[i]))))
+    return total
 
 
 # -- plane overpartitions -----------------------------------------------------
@@ -269,37 +290,42 @@ def count_plane_overpartitions(n: int, max_rows: int | None = None,
 # -- n-color partitions -------------------------------------------------------
 
 
-def ncolor_partitions(n: int):
+def ncolor_partitions(n: int, budget: int | None = DEFAULT_BUDGET):
     """Yield n-color partitions of n as multisets of (size, color) parts.
 
     A part of size j carries a color in 1..j; parts are ordered by size then
     color.  Output: tuples of ((size, color), multiplicity), decreasing.
+    Each node visited and each partition yielded costs one step of ``budget``.
     """
+    tracker = _Budget(budget)
 
     def extend(remaining, max_part, acc):
         if remaining == 0:
+            tracker.charge()
             yield acc
             return
         size, color = max_part
+        if size > remaining:  # no part of this size fits: skip its colors
+            size = color = remaining
         while size >= 1:
-            if size <= remaining:
-                for mult in range(remaining // size, 0, -1):
-                    nxt = (size, color - 1) if color > 1 else (size - 1, size - 1)
-                    yield from extend(remaining - mult * size, nxt,
-                                      acc + (((size, color), mult),))
+            for mult in range(remaining // size, 0, -1):
+                tracker.charge()
+                nxt = (size, color - 1) if color > 1 else (size - 1, size - 1)
+                yield from extend(remaining - mult * size, nxt,
+                                  acc + (((size, color), mult),))
             size, color = (size, color - 1) if color > 1 else (size - 1, size - 1)
 
     yield from extend(n, (n, n), ())
 
 
-def count_ncolor_partitions(n: int) -> int:
-    return sum(1 for _ in ncolor_partitions(n))
+def count_ncolor_partitions(n: int, budget: int | None = DEFAULT_BUDGET) -> int:
+    return sum(1 for _ in ncolor_partitions(n, budget))
 
 
-def count_ncolor_overpartitions(n: int) -> int:
+def count_ncolor_overpartitions(n: int, budget: int | None = DEFAULT_BUDGET) -> int:
     """Count n-color partitions with the final occurrence of each colored
     part optionally overlined: each distinct colored part doubles the count."""
-    return sum(2 ** len(parts) for parts in ncolor_partitions(n))
+    return sum(2 ** len(parts) for parts in ncolor_partitions(n, budget))
 
 
 # -- representation counts ----------------------------------------------------

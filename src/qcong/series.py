@@ -197,14 +197,6 @@ class Series:
             )
         return Series._wrap(self.ring, (self._c + other._c) % self.ring.modulus)
 
-    def sub(self, other: "Series") -> "Series":
-        self._compat(other)
-        if self.ring.exact:
-            return Series._wrap(
-                self.ring, tuple(a - b for a, b in zip(self._c, other._c))
-            )
-        return Series._wrap(self.ring, (self._c - other._c) % self.ring.modulus)
-
     def mul(self, other: "Series") -> "Series":
         """Cauchy product truncated at the common order."""
         self._compat(other)
@@ -222,7 +214,6 @@ class Series:
         return Series._wrap(self.ring, tuple(out))
 
     __add__ = add
-    __sub__ = sub
     __mul__ = mul
 
     def pow(self, e: int) -> "Series":
@@ -271,24 +262,6 @@ class Series:
             b[p:p2] = _newton_step(self._c, b[:p], m, p2)
             p = p2
         return Series._wrap(self.ring, b)
-
-    def mul_binomial_power(self, sign: int, n: int, e: int) -> "Series":
-        """Multiply by (1 + sign*q^n)^e, computed by sparse stride passes.
-
-        ``sign`` is +1 or -1; ``e`` may be negative (division).  Cost is
-        O(min(|e|, N/n) * N) rather than a dense series product.
-        """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if self.ring.exact:
-            buf = list(self._c)
-            _apply_exact(buf, sign, n, e)
-            return Series._wrap(self.ring, tuple(buf))
-        buf = self._c.copy()
-        _apply_mod(buf, sign, n, e, self.ring.modulus)
-        return Series._wrap(self.ring, buf)
 
     def reduce_mod(self, m: int) -> "Series":
         """Ring homomorphism onto Z/m (the modulus chain must divide)."""
@@ -475,26 +448,28 @@ def _fft_size(n: int) -> int:
     return min(b << (-(-n // b) - 1).bit_length() for b in _FFT_ODD)
 
 
-def binomial_product(ring: Ring, order: int, factors) -> Series:
-    """Product of binomial factors (1 + sign*q^n)^e over one shared buffer.
+def binomial_product(ring: Ring, order: int, factors,
+                     start: Series | None = None) -> Series:
+    """``start`` (default 1) times the binomial factors (1 + sign*q^n)^e.
 
-    ``factors`` yields (sign, n, e) triples.  It builds the restricted
-    families, the modular plane families off the class route, and the
-    reference that every faster route is tested against; it avoids
-    allocating an intermediate Series per factor.
+    ``factors`` yields (sign, n, e) triples, sign +/-1, n >= 1 and any
+    integer e, applied in place to one copy of ``start``, a series over
+    ``ring`` at ``order``.  The kernel's one entry point: it builds the
+    restricted families, the modular plane families off the class route
+    and plk's finite correction, and is the reference for every faster route.
     """
-    if ring.exact:
-        buf = [0] * (order + 1)
-        buf[0] = 1
-        for sign, n, e in factors:
-            _apply_exact(buf, sign, n, e)
-        return Series._wrap(ring, tuple(buf))
-    arr = np.zeros(order + 1, dtype=np.int64)
-    arr[0] = 1
+    if start is None:
+        start = Series.one(ring, order)
+    elif start.ring != ring or start.order != order:
+        raise ValueError(f"start must be a series over {ring!r} at order {order}")
     m = ring.modulus
+    buf = list(start._c) if m is None else start._c.copy()
     for sign, n, e in factors:
-        _apply_mod(arr, sign, n, e, m)
-    return Series._wrap(ring, arr)
+        if m is None:
+            _apply_exact(buf, sign, n, e)
+        else:
+            _apply_mod(buf, sign, n, e, m)
+    return Series._wrap(ring, tuple(buf) if m is None else buf)
 
 
 def _binomial_terms(sign: int, e: int, t_max: int) -> list[int]:

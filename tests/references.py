@@ -5,10 +5,14 @@ applied to a family's factors, the two sides of the theta identities, the
 square-count series, the 2-adic expansion and the finite theta product of
 the overpartition series, and the factor (1+q^n)/(1-q^n).  Also the
 shift-by-shift period scan that ``periodicity.empirical_period`` replaced,
-and a restricted family whose Kwong period is too long to print.
+a restricted family whose Kwong period is too long to print, and the
+divisor-sum closed forms of the other families modulo 4 and 8.
 """
 
+import functools
 import math
+
+import numpy as np
 
 from qcong import genfun
 from qcong.genfun import Family, phi_series
@@ -150,3 +154,51 @@ def byte_scan_period(series: Series, max_period: int) -> int | None:
 UNPRINTABLE_LCM_PARTS = [1] + [
     p for p in range(1009, 11318) if all(p % d for d in range(2, math.isqrt(p) + 1))
 ]
+
+
+@functools.lru_cache(maxsize=2)
+def _divisor_pairs(order: int):
+    """(d, j) for every product d*j <= order of positive integers, as arrays."""
+    quotients = [np.arange(1, order // d + 1) for d in range(1, order + 1)]
+    d = np.repeat(np.arange(1, order + 1), [len(q) for q in quotients])
+    return d, np.concatenate(quotients)
+
+
+def closed_form(family: Family, order: int, modulus: int) -> Series:
+    """A non-restricted family modulo 4 or 8 from divisor sums alone.
+
+    Every such family is F = prod_n R(q^n)^(e_n) with
+    R(x) = (1+x)/(1-x) = 1 + 2L(x), L(x) = x/(1-x), and e_n = 1 (over),
+    [n odd] (oddover), min(k, n) (plk) or n (plane, ncolor).  Since
+    (1+2L)^e = 1 + 2eL + 4*C(e,2)*L^2 (mod 8) for every integer e,
+    F = 1 + 2S (mod 4) and F = 1 + 2S + 2S^2 - 2T (mod 8), where
+    S = sum_n e_n*L(q^n) has coefficients s(N) = sum_{d|N} e_d and
+    T = sum_n e_n*L(q^n)^2 has t(N) = sum_{d|N} e_d*(N/d - 1).  S^2 is
+    needed mod 4, where it equals (S mod 2)^2: one square of a Python
+    integer holding the parities in 32-bit slots, since no coefficient of
+    that square exceeds order + 1.
+    """
+    if modulus not in (4, 8):
+        raise ValueError(f"closed forms are mod 4 and 8, not {modulus}")
+    n = np.arange(order + 1)
+    if family.kind == "plk":
+        e = np.minimum(n, family.k)
+    else:
+        e = {"over": np.ones_like(n), "oddover": n % 2, "plane": n,
+             "ncolor": n}[family.kind]
+    d, j = _divisor_pairs(order)
+
+    def divisor_sum(weights):
+        # float64 sums of integers far below 2^53 are exact
+        total = np.bincount(d * j, weights=weights, minlength=order + 1)
+        return np.rint(total).astype(np.int64)
+
+    s = divisor_sum(e[d])
+    out = 2 * s
+    if modulus == 8:
+        odd = (s % 2).astype("<u4").tobytes()
+        square = (int.from_bytes(odd, "little") ** 2).to_bytes(2 * len(odd), "little")
+        s2 = np.frombuffer(square, "<u4")[: order + 1].astype(np.int64)
+        out += 2 * s2 - 2 * divisor_sum(e[d] * (j - 1))
+    out[0] = 1
+    return Series(Mod(modulus), order, out % modulus)

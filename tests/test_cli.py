@@ -421,6 +421,37 @@ class TestEnumerate:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: enumeration budget exceeded\n"
 
+    def test_more_parts_than_the_recursion_limit(self, capsys):
+        ones = ",".join(["1"] * 1100)
+        code, out, err = run(capsys, "enumerate", "restricted", "--parts", ones,
+                             "--n", "1")
+        assert (code, out, err) == (0, "1100\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("over", "--n", "1000"), ("oddover", "--n", "300"), ("ncolor", "--n", "60"),
+         ("restricted", "--parts", "1", "--n", "100000000")],
+        ids=lambda argv: argv[0],
+    )
+    def test_budget_limits_every_family(self, argv):
+        # each of these runs for hours without a budget
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "enumerate", *argv,
+             "--budget", "100000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: enumeration budget exceeded\n"
+
+    def test_default_budget_limits_a_long_count(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "enumerate", "restricted",
+             "--parts", "1", "--n", "100000000"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: enumeration budget exceeded\n"
+
     @pytest.mark.parametrize(
         "argv",
         [("plane",), ("plk", "--k", "2"), ("over",), ("oddover",), ("ncolor",),

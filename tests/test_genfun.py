@@ -20,6 +20,7 @@ from qcong.genfun import Family, build_series, phi_series
 from qcong.periodicity import kwong_period
 from qcong.series import EXACT, Mod, Series, binomial_product
 from references import (
+    closed_form,
     jacobi_specializations,
     kernel_series,
     phi_factorizations,
@@ -609,6 +610,32 @@ class TestPeriodTiling:
             for order in (0, 1, 40, 400):
                 assert build_series(family, order, ring) == (
                     kernel_series(family, order, ring))
+
+
+CLOSED_FORM_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions(),
+                        Family.plane(), Family.ncolor(),
+                        *(Family.k_rowed(k) for k in range(1, 14))]
+
+
+class TestClosedForms:
+    """Every non-restricted family mod 4 and 8 against its divisor-sum form.
+
+    The closed forms need no theta series, lift, balanced exponent, Newton
+    inverse, class route or kernel, so they reach orders the kernel cannot.
+    """
+
+    @pytest.mark.parametrize("modulus", [4, 8])
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
+    def test_reference_matches_the_kernel(self, family, modulus):
+        want = kernel_series(family, 200, Mod(modulus))
+        assert closed_form(family, 200, modulus) == want
+
+    @pytest.mark.parametrize("modulus,order", [(4, 10**5), (8, 2 * 10**4)])
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
+    def test_build_matches(self, family, modulus, order):
+        got = build_series(family, order, Mod(modulus))
+        want = closed_form(family, order, modulus)
+        assert got == want, got.first_mismatch(want)
 
 
 class TestPhi:

@@ -45,6 +45,34 @@ class TestPartitionsMultiset:
         for n in range(26):
             assert count_partitions_multiset(n, parts) == series[n]
 
+    def test_more_entries_than_the_recursion_limit(self):
+        # the count keeps one stack entry per part, not one Python frame
+        assert count_partitions_multiset(1, [1] * 1100) == 1100
+
+
+class TestBudgets:
+    """Each oracle charges one step per node visited and one per object."""
+
+    @pytest.mark.parametrize("count,steps", [
+        # 6 nodes below the root and 3 partitions
+        (lambda budget: len(list(partitions(3, budget=budget))), 9),
+        # 14 nodes (the root, 5 remainders after entry 1, 8 after entry 2)
+        # and 3 partitions
+        (lambda budget: count_partitions_multiset(4, [1, 2], budget), 17),
+        # 10 nodes and 6 n-color partitions
+        (lambda budget: count_ncolor_partitions(3, budget), 16),
+        # partitions(j) and distinct partitions(j) for j = 1..3 on one budget
+        (lambda budget: count_overpartitions(3, budget=budget), 29),
+    ], ids=["partitions", "multiset", "ncolor", "overpartitions"])
+    def test_exact_steps(self, count, steps):
+        count(steps)
+        with pytest.raises(BudgetExceeded):
+            count(steps - 1)
+
+    def test_none_is_unlimited(self):
+        assert count_partitions_multiset(30, [1, 2, 3], None) == 91
+        assert count_ncolor_overpartitions(4, None) == count_ncolor_overpartitions(4)
+
 
 class TestOverpartitions:
     def test_census_three(self):

@@ -394,26 +394,32 @@ class TestToList:
         assert got == want
         assert got == [s[i] for i in range(300)]
 
+
+def times_factor(s, sign, n, e):
+    """s * (1 + sign*q^n)^e by the kernel, starting from s."""
+    return binomial_product(s.ring, s.order, [(sign, n, e)], s)
+
+
 class TestBinomialKernel:
     def test_geometric(self):
-        one = Series.one(EXACT, 3)
-        assert one.mul_binomial_power(-1, 1, -1).tolist() == [1, 1, 1, 1]
+        assert binomial_product(EXACT, 3, [(-1, 1, -1)]).tolist() == [1, 1, 1, 1]
 
     def test_f_as_two_factors(self):
         one = Series.one(EXACT, 6)
-        built = one.mul_binomial_power(1, 1, 1).mul_binomial_power(-1, 1, -1)
+        built = binomial_product(EXACT, 6, [(1, 1, 1), (-1, 1, -1)], one)
         assert built == f_series(1, 6)
 
     def test_factor_beyond_order_is_identity(self):
         s = Series(EXACT, 4, [1, 2, 3, 4, 5])
-        assert s.mul_binomial_power(1, 5, 3) == s
+        assert times_factor(s, 1, 5, 3) == s
 
     def test_bad_arguments(self):
-        s = Series.one(EXACT, 4)
-        with pytest.raises(ValueError):
-            s.mul_binomial_power(2, 1, 1)
-        with pytest.raises(ValueError):
-            s.mul_binomial_power(1, 0, 1)
+        # the start must be over the ring at the order
+        for start in (Series.one(EXACT, 5), Series.one(Mod(8), 4)):
+            with pytest.raises(ValueError, match="start must be a series over Z"):
+                binomial_product(EXACT, 4, [(1, 1, 1)], start)
+        with pytest.raises(ValueError, match="over Z/4 at order 4"):
+            binomial_product(Mod(4), 4, [], Series.one(Mod(8), 4))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -427,7 +433,7 @@ class TestBinomialKernel:
         order, coeffs, _, _ = data
         ring = EXACT if modulus is None else Mod(modulus)
         s = Series(ring, order, coeffs)
-        got = s.mul_binomial_power(sign, n, e)
+        got = times_factor(s, sign, n, e)
         dense = [0] * (order + 1)
         dense[0] = 1
         if n <= order:
@@ -456,7 +462,7 @@ class TestBinomialKernel:
         if n <= order:
             dense[n] = sign
         want = s.mul(Series(ring, order, dense).pow(-e).inverse_of_unit())
-        assert s.mul_binomial_power(sign, n, e) == want
+        assert times_factor(s, sign, n, e) == want
 
     @pytest.mark.parametrize("order,n,e", [(1000, 60, -1), (2000, 100, -1), (3000, 90, -2)])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -473,7 +479,7 @@ class TestBinomialKernel:
             raise AssertionError("binomial terms used")
 
         monkeypatch.setattr(series_module, "_binomial_terms", no_terms)
-        assert s.mul_binomial_power(sign, n, e) == want
+        assert times_factor(s, sign, n, e) == want
 
 
 def divide_reference(values, stride):
@@ -638,8 +644,8 @@ class TestLargeModulusFallbacks:
     def test_binomial_large_modulus_matches_exact(self):
         m = 2**50
         coeffs = list(range(1, 32))
-        want = Series(EXACT, 30, coeffs).mul_binomial_power(-1, 2, -5).reduce_mod(m)
-        got = Series(Mod(m), 30, coeffs).mul_binomial_power(-1, 2, -5)
+        want = times_factor(Series(EXACT, 30, coeffs), -1, 2, -5).reduce_mod(m)
+        got = times_factor(Series(Mod(m), 30, coeffs), -1, 2, -5)
         assert got == want
 
 
@@ -673,14 +679,15 @@ class TestKernelHeadroom:
     @pytest.mark.parametrize("m", HEADROOM_MODULI)
     @pytest.mark.parametrize("fill", ["top", "random"])
     def test_mul_binomial_power(self, m, fill):
-        # residues m - 1 everywhere make every term as large as it can be
+        # one factor at a time on a start series; residues m - 1 everywhere
+        # make every term as large as it can be
         coeffs = ([m - 1] * (HEADROOM_ORDER + 1) if fill == "top"
                   else random_coeffs(m, m, HEADROOM_ORDER + 1))
         exact = Series(EXACT, HEADROOM_ORDER, coeffs)
         modular = Series(Mod(m), HEADROOM_ORDER, coeffs)
         for factor in headroom_factors():
-            want = exact.mul_binomial_power(*factor).reduce_mod(m)
-            assert modular.mul_binomial_power(*factor) == want, factor
+            want = times_factor(exact, *factor).reduce_mod(m)
+            assert times_factor(modular, *factor) == want, factor
 
     @pytest.mark.parametrize("m", HEADROOM_MODULI)
     def test_binomial_product(self, m):
