@@ -1,12 +1,10 @@
 """Named generating functions for the partition families.
 
-Every family is an infinite product of binomial factors (1 +/- q^n)^e; the
-binomial kernel truncates the product at factor index n = order, which is
-exact because factor n only contributes from degree n on.  The
-overpartition-type families are built faster as theta quotients, and the
-plane family modulo small powers of two by residue-class recurrences and
-over Z from its logarithmic derivative; the kernel stays their independent
-reference.
+Every non-restricted family is prod_n R(q^n)^(e_n), R(x) = (1+x)/(1-x), with
+e_n from ``Family.exponent``; restricted is prod_a 1/(1-q^a) over its parts.
+The binomial kernel truncates either product at factor index n = order,
+exact because factor n only contributes from degree n on, and stays the
+independent reference of the faster routes ``build_series`` takes.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ class Family:
 
     kind 'plk' is the k-rowed plane overpartition family and needs k >= 1;
     'restricted' is partitions into parts from a multiset, held as the sorted
-    tuple of its parts with repeats; 'ncolor' shares the plane-overpartition
-    generating function by definition (the claim is asserted against the
-    enumeration oracle, not assumed silently).
+    tuple of its parts with repeats.  ``exponent`` gives the products of the
+    other kinds.
     """
 
     kind: str
@@ -115,6 +112,24 @@ class Family:
             return cls.restricted([int(p) for p in body.split(",")])
         return cls(token)
 
+    def exponent(self, n: int) -> int:
+        """e_n of the family as prod_n R(q^n)^(e_n), R(x) = (1+x)/(1-x).
+
+        e_n = 1 (over), [n odd] (oddover), min(k, n) (plk) and n (plane, the
+        Corteel-Savelief-Vuletic product; ncolor shares it by definition, as
+        checked against the enumeration oracle).  Every construction route
+        reads this one table.  restricted has none and raises ValueError.
+        """
+        if self.kind == "restricted":
+            raise ValueError("restricted family has no exponents of R(q^n)")
+        if self.kind == "over":
+            return 1
+        if self.kind == "oddover":
+            return n % 2
+        if self.kind == "plk":
+            return min(self.k, n)
+        return n
+
     def __str__(self) -> str:
         return self.token
 
@@ -132,45 +147,29 @@ def _family_factors(family: Family, order: int):
             yield (-1, part, -1)
         return
     for n in range(1, order + 1):
-        if family.kind == "over":
-            e = 1
-        elif family.kind == "oddover":
-            if n % 2 == 0:
-                continue
-            e = 1
-        elif family.kind == "plk":
-            e = min(family.k, n)
-        else:  # plane, ncolor
-            e = n
-        yield (+1, n, e)
-        yield (-1, n, -e)
+        if e := family.exponent(n):
+            yield (+1, n, e)
+            yield (-1, n, -e)
 
 
 def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     """Truncated generating function of the family over the given ring.
 
-    The overpartition-type families are theta quotients and are built in
-    quasi-linear time (modular rings) or O(N^1.5) (exact ring):
-    over = 1/phi(-q), oddover = phi(q) * over(q^2) and
-    plk = over^k * prod_{i<k} ((1-q^i)/(1+q^i))^(k-i).  over is the Newton
-    inverse of phi(-q), except over Z/2, Z/4 and Z/8, where ``_lift`` lifts
-    over = phi(q) (mod 4) one bit per level; oddover and plk take over from
-    here.  Over Z/2^r every exponent of that plk product is reduced by
-    ``_balanced`` modulo M = 2^(r-1), since R(x)^M = 1 (mod 2M) for
-    R(x) = (1+x)/(1-x) and
-    plk = prod_n R(q^n)^min(k, n); a negative power of over is a power of
-    phi(-q), so no plk modulo 2 to 8 needs an inverse.  plane and ncolor
-    over Z/2^r take the same lift from their residue classes
-    (``_class_odd_part``) when ``_class_route`` allows it, and over Z the
-    recurrence of ``_plane_exact``.  restricted over Z/2^r
-    is tiled from one checked Kwong period (``_restricted_by_period``) when
-    that period is shorter than the order.  The other families go through
-    the binomial kernel.
+    With e_n = ``family.exponent(n)`` and M = 2^(r-1) over Z/2^r: over is
+    1/phi(-q) by Newton inversion, or over Z/2, Z/4 and Z/8 the ``_lift`` of
+    over = phi(q) (mod 4); oddover is phi(q) * over(q^2); plk is
+    over^k * prod_{i<k} R(q^i)^(e_i - k), each exponent reduced by
+    ``_balanced`` modulo M since R(x)^M = 1 (mod 2M), and a negative power of
+    over is one of phi(-q), so no plk modulo 2 to 8 needs an inverse.  plane
+    and ncolor take the ``_lift`` of their residue classes when
+    ``_class_route`` allows it, and over Z ``_log_derivative_exact``.
+    restricted over Z/2^r is tiled from one checked Kwong period that fits
+    the order (``_restricted_by_period``).  The rest goes through the kernel.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
+    half = _two_power_half(ring)  # 2^(r-1) over Z/2^r, else None
     if family.kind == "over":
-        half = _two_power_half(ring)  # 2^(r-1) over Z/2^r
         if half is not None and half <= 4:  # above Z/8 Newton is faster
             return _lift(order, ring, half, lambda n, r, _: phi_series(+1, n, r))
         return phi_series(-1, order, ring).inverse_of_unit()
@@ -179,17 +178,18 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         return phi_series(+1, order, ring).mul(over_q2.inflate(2, order))
     if family.kind == "plk":
         k = family.k
-        half = _two_power_half(ring)
-        corrections = [(sign, i, -sign * e) for i in range(1, min(k, order + 1))
-                       if (e := _balanced(k - i, half)) for sign in (-1, +1)]
+        # R(q^i)^(e_i - k), the exponent balanced mod M with ties going positive
+        corrections = [(sign, i, sign * f) for i in range(1, min(k, order + 1))
+                       if (f := -_balanced(k - family.exponent(i), half))
+                       for sign in (-1, +1)]
         return binomial_product(ring, order, corrections,
                                 _over_power(_balanced(k, half), order, ring))
     if family.kind in ("plane", "ncolor"):
         if ring.exact:
-            return _plane_exact(order)
+            return _log_derivative_exact(family, order)
         if _class_route(order, ring):
-            return _lift(order, ring, _two_power_half(ring), _class_odd_part)
-    if family.kind == "restricted" and _two_power_half(ring) is not None:
+            return _lift(order, ring, half, functools.partial(_class_odd_part, family))
+    if family.kind == "restricted" and half is not None:
         tiled = _restricted_by_period(family, order, ring)
         if tiled is not None:
             return tiled
@@ -221,17 +221,18 @@ def _restricted_by_period(family: Family, order: int, ring: Ring) -> Series | No
     return Series._wrap(ring, np.tile(head[:period], reps)[: order + 1])
 
 
-def _plane_exact(order: int) -> Series:
-    """The plane series over Z from its logarithmic derivative.
+def _log_derivative_exact(family: Family, order: int) -> Series:
+    """The family's series over Z from its logarithmic derivative.
 
-    q*d/dq log prod_n ((1+q^n)/(1-q^n))^n = sum_k c_k q^k with
-    c_k = 2 * sum_{d | k, k/d odd} d^2, so n*a_n = sum_{k=1..n} c_k*a_(n-k):
+    q*d/dq log prod_d R(q^d)^(e_d) = sum_N c_N q^N with
+    c_N = 2 * sum_{d | N, N/d odd} d*e_d, so n*a_n = sum_{N=1..n} c_N*a_(n-N):
     O(N^2) big-integer products in C-level loops, and no binomial passes.
     """
     c = [0] * (order + 1)
     for d in range(1, order + 1):
+        w = 2 * d * family.exponent(d)
         for k in range(d, order + 1, 2 * d):
-            c[k] += 2 * d * d
+            c[k] += w
     a = [1] + [0] * order
     for n in range(1, order + 1):
         a[n] = sum(map(operator.mul, c[1 : n + 1], reversed(a[:n]))) // n
@@ -297,20 +298,24 @@ def _lift(order: int, ring: Ring, half: int, odd_part) -> Series:
     return out
 
 
-def _class_odd_part(order: int, ring: Ring, half: int) -> Series:
-    """The odd part of plane(q) = prod_{n odd} R(q^n)^n * plane(q^2)^2, mod 2*half.
+def _class_odd_part(family: Family, order: int, ring: Ring, half: int) -> Series:
+    """The odd part prod_{n odd} R(q^n)^(e_n) of the family, mod 2*half.
 
-    With R(x) = (1+x)/(1-x), plane = prod_n R(q^n)^n.  Since
-    R(x)^half = 1 (mod 2*half), the odd part is prod_{j odd} C_j^j over the
-    classes C_j = prod_{n = j (mod half)} R(q^n).
+    The family must meet e_2n = 2*e_n, so that it is the odd part times
+    F(q^2)^2 as ``_lift`` needs, and e_n mod half must depend only on
+    n mod half; of the families only plane and ncolor do.  Since
+    R(x)^half = 1 (mod 2*half), the odd part is then prod_{j odd} C_j^(e_j
+    mod half) over the classes C_j = prod_{n = j (mod half)} R(q^n).
     """
     m = ring.modulus
     out = run = None
-    # Horner over j = half-1 .. 1: C_j enters ``run`` once and ``out`` j times
-    for j in range(half - 1, 0, -1):
-        if j % 2:
-            c = Series(ring, order, _class_product(j, half, order, m))
-            run = c if run is None else run.mul(c)
+    # Horner over t = half-1 .. 1: C_j enters ``run`` at t = e_j mod half and
+    # ``out`` t times; its half^2/2 exponent reads cost about one mul
+    for t in range(half - 1, 0, -1):
+        for j in range(1, half, 2):
+            if family.exponent(j) % half == t:
+                c = Series(ring, order, _class_product(j, half, order, m))
+                run = c if run is None else run.mul(c)
         out = run if out is None else out.mul(run)
     return out
 

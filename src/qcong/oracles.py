@@ -47,20 +47,30 @@ def partitions(n: int, max_part: int | None = None, odd_only: bool = False,
 
 
 def _partitions(n, max_part, odd_only, distinct, tracker):
-    if n < 0:
-        return
+    """Depth first on an explicit stack of the parts still to try per level."""
     if n == 0:
         tracker.charge()
         yield ()
-        return
-    hi = n if max_part is None else min(n, max_part)
-    for first in range(hi, 0, -1):
-        if odd_only and first % 2 == 0:
-            continue
-        tracker.charge()
-        rest_max = first - 1 if distinct else first
-        for rest in _partitions(n - first, rest_max, odd_only, distinct, tracker):
-            yield (first,) + rest
+    top = n if max_part is None else min(n, max_part)
+    prefix, stack = [], [iter(range(top, 0, -1))]  # n is what prefix leaves
+    while stack:
+        for first in stack[-1]:
+            if odd_only and first % 2 == 0:
+                continue
+            tracker.charge()
+            if first == n:
+                tracker.charge()
+                yield (*prefix, first)
+            else:
+                prefix.append(first)
+                n -= first
+                cap = first - 1 if distinct else first
+                stack.append(iter(range(min(n, cap), 0, -1)))
+                break
+        else:  # no part left to try at this level
+            stack.pop()
+            if stack:
+                n += prefix.pop()
 
 
 @dataclass(frozen=True)

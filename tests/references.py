@@ -164,12 +164,24 @@ def _divisor_pairs(order: int):
     return d, np.concatenate(quotients)
 
 
+# e_n of F = prod_n R(q^n)^(e_n) per family kind, for an array n and the row
+# count k of plk.  Written out here, not read from ``Family.exponent``, so the
+# closed forms stay independent of the code they check.
+EXPONENTS = {
+    "over": lambda n, k: np.ones_like(n),
+    "oddover": lambda n, k: n % 2,
+    "plk": lambda n, k: np.minimum(n, k),
+    "plane": lambda n, k: n,
+    "ncolor": lambda n, k: n,
+}
+
+
 def closed_form(family: Family, order: int, modulus: int) -> Series:
     """A non-restricted family modulo 4 or 8 from divisor sums alone.
 
     Every such family is F = prod_n R(q^n)^(e_n) with
-    R(x) = (1+x)/(1-x) = 1 + 2L(x), L(x) = x/(1-x), and e_n = 1 (over),
-    [n odd] (oddover), min(k, n) (plk) or n (plane, ncolor).  Since
+    R(x) = (1+x)/(1-x) = 1 + 2L(x), L(x) = x/(1-x), and e_n from
+    ``EXPONENTS``.  Since
     (1+2L)^e = 1 + 2eL + 4*C(e,2)*L^2 (mod 8) for every integer e,
     F = 1 + 2S (mod 4) and F = 1 + 2S + 2S^2 - 2T (mod 8), where
     S = sum_n e_n*L(q^n) has coefficients s(N) = sum_{d|N} e_d and
@@ -180,12 +192,7 @@ def closed_form(family: Family, order: int, modulus: int) -> Series:
     """
     if modulus not in (4, 8):
         raise ValueError(f"closed forms are mod 4 and 8, not {modulus}")
-    n = np.arange(order + 1)
-    if family.kind == "plk":
-        e = np.minimum(n, family.k)
-    else:
-        e = {"over": np.ones_like(n), "oddover": n % 2, "plane": n,
-             "ncolor": n}[family.kind]
+    e = EXPONENTS[family.kind](np.arange(order + 1), family.k)
     d, j = _divisor_pairs(order)
 
     def divisor_sum(weights):

@@ -20,6 +20,7 @@ from qcong.genfun import Family, build_series, phi_series
 from qcong.periodicity import kwong_period
 from qcong.series import EXACT, Mod, Series, binomial_product
 from references import (
+    EXPONENTS,
     closed_form,
     jacobi_specializations,
     kernel_series,
@@ -408,6 +409,11 @@ class TestClassRoute:
     @example(family=Family.plane(), bits=3, order=1499)  # odd order, squared at 749
     @example(family=Family.plane(), bits=5, order=1025)
     @example(family=Family.ncolor(), bits=4, order=1023)  # odd at every level
+    # mod 4 on both sides of the cut-off half^2 <= order: kernel at 3, classes at 4
+    @example(family=Family.plane(), bits=2, order=3)
+    @example(family=Family.plane(), bits=2, order=4)
+    @example(family=Family.ncolor(), bits=2, order=3)
+    @example(family=Family.ncolor(), bits=2, order=4)
     def test_matches_binomial_kernel(self, family, bits, order):
         ring = Mod(2**bits)
         got = build_series(family, order, ring)
@@ -629,6 +635,14 @@ class TestClosedForms:
     def test_reference_matches_the_kernel(self, family, modulus):
         want = kernel_series(family, 200, Mod(modulus))
         assert closed_form(family, 200, modulus) == want
+
+    def test_exponent_table_matches_the_reference(self):
+        n = np.arange(1, 101)
+        for family in CLOSED_FORM_FAMILIES:
+            want = EXPONENTS[family.kind](n, family.k).tolist()
+            assert [family.exponent(i) for i in n.tolist()] == want, family
+        with pytest.raises(ValueError, match="restricted"):
+            Family.restricted([1, 2]).exponent(1)
 
     @pytest.mark.parametrize("modulus,order", [(4, 10**5), (8, 2 * 10**4)])
     @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)

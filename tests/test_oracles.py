@@ -63,7 +63,10 @@ class TestBudgets:
         (lambda budget: count_ncolor_partitions(3, budget), 16),
         # partitions(j) and distinct partitions(j) for j = 1..3 on one budget
         (lambda budget: count_overpartitions(3, budget=budget), 29),
-    ], ids=["partitions", "multiset", "ncolor", "overpartitions"])
+        # the same for j = 1..12, with partitions up to twelve parts deep
+        (lambda budget: count_overpartitions(12, budget=budget), 1493),
+    ], ids=["partitions", "multiset", "ncolor", "overpartitions",
+            "overpartitions-12"])
     def test_exact_steps(self, count, steps):
         count(steps)
         with pytest.raises(BudgetExceeded):
@@ -275,8 +278,12 @@ class TestRepresentationCounts:
 
 def test_partitions_generator_basics():
     assert list(partitions(0)) == [()]
-    assert sorted(partitions(4)) == sorted(
-        [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    )
+    # largest first part first, then the rest in the same order
+    assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(partitions(4, odd_only=True)) == [(3, 1), (1, 1, 1, 1)]
     assert list(partitions(4, distinct=True)) == [(4,), (3, 1)]
+
+
+def test_partitions_deeper_than_the_recursion_limit():
+    # the enumeration keeps one stack entry per part, not one generator frame
+    assert list(partitions(1000, max_part=1)) == [(1,) * 1000]
