@@ -225,12 +225,10 @@ def _cmd_scan(args) -> int:
         f"a({f.claim.l}n+{f.claim.b}) = {f.claim.kind.residue}  support={f.support}"
         for f in findings
     ]
+    payload = [f.to_json() for f in findings]
     rows = [("family", "l", "b", "c", "modulus", "support", "bound", "status")]
-    for f in findings:
-        j = f.to_json()
-        rows.append(tuple(j[k] for k in ("family", "l", "b", "c", "modulus",
-                                         "support", "bound", "status")))
-    _emit(args, lines or ["no findings"], [f.to_json() for f in findings], rows)
+    rows += [tuple(j.values()) for j in payload]
+    _emit(args, lines or ["no findings"], payload, rows)
     return 0
 
 
@@ -243,8 +241,7 @@ def _cmd_density(args) -> int:
     lines = [f"zeros={zeros} bound={args.bound} density={value:.6f}"]
     payload = {"family": family.token, "modulus": args.mod, "bound": args.bound,
                "zeros": zeros, "density": value}
-    rows = [("family", "modulus", "bound", "zeros", "density"),
-            (family.token, args.mod, args.bound, zeros, value)]
+    rows = [tuple(payload), tuple(payload.values())]
     _emit(args, lines, payload, rows)
     return 0
 
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("error: out of memory; try a smaller --order, --bound or --n",
               file=sys.stderr)
         return 1

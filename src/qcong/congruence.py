@@ -482,30 +482,21 @@ def builtin_suite() -> list[Claim | SumClaim]:
               Predicate("odd-divisor-formula"), n_start=2)
     )
 
-    # even-k rowed families: l*n and l*n + p^r rows mod 4
+    # even-k rowed families: l*n and l*n + p^r rows mod 4, each followed by
+    # the same row restated as the corollary's explicit instance where it is one
+    cor33 = {4: [0], 6: None, 8: None, 10: None, 12: None}  # None = all rows
     for k in (2, 4, 6, 8, 10, 12):
         fam = Family.k_rowed(k)
         l, rows = _even_k_rows(k)
+        keep = cor33.get(k, [])
         for offset, residue in rows:
             b, n0 = _canonical_ap(l, offset, 1)
-            claims.append(
-                Claim(f"thm1.4-pl{k}-{_ap_text(l, offset)}-mod4", fam, 4, l, b,
-                      Constant(residue), n_start=n0)
-            )
-
-    # the same rows restated as the corollary's explicit instances
-    cor33 = {4: [0], 6: None, 8: None, 10: None, 12: None}  # None = all rows
-    for k, keep in cor33.items():
-        fam = Family.k_rowed(k)
-        l, rows = _even_k_rows(k)
-        for offset, residue in rows:
-            if keep is not None and offset not in keep:
-                continue
-            b, n0 = _canonical_ap(l, offset, 1)
-            claims.append(
-                Claim(f"cor3.3-pl{k}-{_ap_text(l, offset)}-mod4", fam, 4, l, b,
-                      Constant(residue), n_start=n0)
-            )
+            restated = keep is None or offset in keep
+            for source in ("thm1.4", "cor3.3") if restated else ("thm1.4",):
+                claims.append(
+                    Claim(f"{source}-pl{k}-{_ap_text(l, offset)}-mod4", fam, 4, l, b,
+                          Constant(residue), n_start=n0)
+                )
 
     # odd-rowed families agree with overpartitions on odd arguments mod 4
     for half in range(0, 7):

@@ -275,7 +275,7 @@ def _class_route(order: int, ring: Ring) -> bool:
     half = _two_power_half(ring)
     if half is None:
         return False
-    return half * half <= order or half == 1
+    return half * half <= order
 
 
 def _lift(order: int, ring: Ring, half: int, odd_part) -> Series:

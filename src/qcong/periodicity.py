@@ -11,7 +11,7 @@ explicitly built series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,16 +58,7 @@ class PeriodReport:
     agreement: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "power": self.power,
-            "parts": list(self.parts),
-            "b_value": self.b_value,
-            "m_value": self.m_value,
-            "period": self.period,
-            "empirical_period": self.empirical_period,
-            "agreement": self.agreement,
-        }
+        return {**asdict(self), "parts": list(self.parts)}
 
 
 def kwong_period(parts, ell: int, power: int) -> PeriodReport:

@@ -518,8 +518,6 @@ def _apply_exact(buf: list, sign: int, n: int, e: int) -> None:
     snap = buf[:]
     for t in range(1, t_max + 1):
         ct = terms[t]
-        if ct == 0:
-            continue
         base = n * t
         for j in range(base, top + 1):
             buf[j] += ct * snap[j - base]

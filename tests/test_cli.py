@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import re
@@ -57,6 +58,19 @@ class TestExpand:
             capsys, "expand", "restricted", "--parts", "1,2,5,8", "--order", "5"
         )
         assert out.split()[5] == "4"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["plk"], "plk family needs --k"),
+        (["restricted"], "restricted family needs --parts"),
+        (["restricted", "--parts", "1,x"], "cannot parse parts list '1,x'"),
+    ])
+    def test_missing_or_bad_family_arguments_are_one_error_line(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcong.cli", "expand", *argv, "--order", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -157,6 +171,15 @@ class TestVerify:
                    for line in lines)
         assert {line.split("bound=")[1] for line in lines} == {
             "2000", "6930", "4620", "4000"}
+
+    @pytest.mark.parametrize("modulus", [4, 8, 12, 64])
+    def test_suite_selects_the_claims_of_its_modulus(self, capsys, modulus):
+        code, out, _ = run(capsys, "verify", "--suite", f"mod{modulus}",
+                           "--format", "json")
+        want = sorted(c.label for c in congruence.builtin_suite()
+                      if c.modulus == modulus)
+        assert code == 0 and want
+        assert [r["label"] for r in json.loads(out)] == want
 
     def test_report_claim_fields_are_claim_input(self, capsys):
         _, out, _ = run(capsys, "verify", "--label", "cor3.5", "--bound", "200",
@@ -499,6 +522,27 @@ class TestMemoryError:
         assert code == 1 and out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "over", "--order", str(10**30)],
+        ["expand", "plane", "--order", str(10**30)],
+        ["expand", "plk", "--k", "3", "--order", str(10**30)],
+        ["expand", "restricted", "--parts", "1,2", "--order", str(10**30)],
+        ["expand", "restricted", "--parts", "1,2", "--mod", "8", "--order", str(10**30)],
+        ["period", "--parts", "1,2", "--prime", "2", "--power", "3", "--empirical",
+         "--guard", str(10**30)],
+        ["verify", "--claim", json.dumps({"family": "restricted:1,2", "modulus": 4,
+                                          "ap": {"l": 10**30},
+                                          "kind": {"residue": 0}})],
+    ], ids=["over", "plane", "plk", "restricted", "restricted-mod8", "period-guard",
+            "verify-claim-l"])
+    def test_oversized_size_is_one_error_line(self, argv):
+        # these sizes overflow a machine integer before any memory is asked for
+        proc = subprocess.run([sys.executable, "-m", "qcong.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
 
 class TestScanAndDensity:
     @pytest.mark.parametrize("command,tail", [
@@ -547,3 +591,22 @@ class TestScanAndDensity:
             "--format", "json",
         )
         assert json.loads(out)["density"] == 0.99
+
+    @pytest.mark.parametrize("argv,header", [
+        (["scan", "plk", "--k", "4", "--mod", "8", "--lmax", "12", "--bound", "2000"],
+         ["family", "l", "b", "c", "modulus", "support", "bound", "status"]),
+        # no findings: the header alone
+        (["scan", "over", "--mod", "16", "--lmax", "5", "--bound", "300"],
+         ["family", "l", "b", "c", "modulus", "support", "bound", "status"]),
+        (["density", "over", "--mod", "8", "--bound", "5000"],
+         ["family", "modulus", "bound", "zeros", "density"]),
+    ])
+    def test_csv_rows_are_the_json_records(self, capsys, argv, header):
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        records = json.loads(out)
+        records = records if isinstance(records, list) else [records]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert all(sorted(r) == sorted(header) for r in records)
+        assert list(csv.reader(io.StringIO(out))) == [header] + [
+            [str(r[k]) for k in header] for r in records]

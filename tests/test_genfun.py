@@ -423,7 +423,8 @@ class TestClassRoute:
     @pytest.mark.parametrize(
         "modulus,order,route",
         [
-            (2, 0, True), (2, 5, True),
+            # mod 2 at order 0 is 1 by either route; the rule sends it to the kernel
+            (2, 0, False), (2, 5, True),
             (4, 3, False), (4, 4, True),
             (8, 15, False), (8, 16, True),
             (256, 16383, False), (256, 16384, True),
