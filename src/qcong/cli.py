@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -72,8 +73,8 @@ def _cmd_expand(args) -> int:
         "modulus": args.mod,
         "coefficients": coeffs,
     }
-    rows = [("n", "coefficient")] + [(n, c) for n, c in enumerate(coeffs)]
-    _emit(args, [str(c) for c in coeffs], payload, rows)
+    rows = itertools.chain([("n", "coefficient")], enumerate(coeffs))
+    _emit(args, map(str, coeffs), payload, rows)
     return 0
 
 
@@ -342,8 +343,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MemoryError, OverflowError):
-        print("error: out of memory; try a smaller --order, --bound or --n",
-              file=sys.stderr)
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -24,12 +24,10 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None):
-        self.left = limit
+        self.left = float("inf") if limit is None else limit
 
-    def charge(self, amount: int = 1) -> None:
-        if self.left is None:
-            return
-        self.left -= amount
+    def charge(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise BudgetExceeded("enumeration budget exceeded")
 

@@ -12,7 +12,9 @@ silently aligning precision.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
+import itertools
 import operator
 import sys
 from dataclasses import dataclass
@@ -457,6 +459,8 @@ def binomial_product(ring: Ring, order: int, factors,
     ``ring`` at ``order``.  The kernel's one entry point: it builds the
     restricted families, the modular plane families off the class route
     and plk's finite correction, and is the reference for every faster route.
+    A factor (1 + q^n)^e with e < 0 is applied as (1 - q^n)^(-e) and then
+    (1 - q^(2n))^e, so every pass multiplies or divides by some 1 - q^s.
     """
     if start is None:
         start = Series.one(ring, order)
@@ -464,26 +468,21 @@ def binomial_product(ring: Ring, order: int, factors,
         raise ValueError(f"start must be a series over {ring!r} at order {order}")
     m = ring.modulus
     buf = list(start._c) if m is None else start._c.copy()
+    apply = _apply_exact if m is None else functools.partial(_apply_mod, m=m)
     for sign, n, e in factors:
-        if m is None:
-            _apply_exact(buf, sign, n, e)
-        else:
-            _apply_mod(buf, sign, n, e, m)
+        if sign > 0 > e:  # 1/(1+x)^k = (1-x)^k / (1-x^2)^k
+            apply(buf, -1, n, -e)
+            sign, n = -1, 2 * n
+        apply(buf, sign, n, e)
     return Series._wrap(ring, tuple(buf) if m is None else buf)
 
 
 def _binomial_terms(sign: int, e: int, t_max: int) -> list[int]:
     """Exact coefficients c_t of (1 + sign*q^n)^e at q^(n*t), t = 0..t_max."""
     out = [1]
-    c = 1
-    if e >= 0:
-        for t in range(1, t_max + 1):
-            c = c * (e - t + 1) // t  # C(e, t)
-            out.append(c if sign > 0 or t % 2 == 0 else -c)
-    else:
-        for t in range(1, t_max + 1):
-            c = c * (-e + t - 1) // t  # C(|e|+t-1, t)
-            out.append(c if sign < 0 or t % 2 == 0 else -c)
+    for t in range(1, t_max + 1):
+        # sign^t * C(e, t); the division is exact for negative e too
+        out.append(out[-1] * sign * (e - t + 1) // t)
     return out
 
 
@@ -493,25 +492,21 @@ def _apply_exact(buf: list, sign: int, n: int, e: int) -> None:
     t_cap = top // n
     if e == 0 or t_cap == 0:
         return
-    if 0 < e <= t_cap:
+    if sign < 0 and 0 < e <= t_cap:
         for _ in range(e):
-            # descending keeps buf[j - n] untouched until it is read
-            if sign > 0:
-                for j in range(top, n - 1, -1):
-                    buf[j] += buf[j - n]
-            else:
-                for j in range(top, n - 1, -1):
-                    buf[j] -= buf[j - n]
+            # the right-hand slices are copies, so every read is pre-pass
+            buf[n:] = map(operator.sub, buf[n:], buf[:-n])
         return
-    if e < 0 and -e <= t_cap:
+    if sign < 0 and 0 < -e <= t_cap:
         for _ in range(-e):
-            # ascending prefix recurrence b[j] = a[j] - sign*b[j-n]
-            if sign > 0:
-                for j in range(n, top + 1):
-                    buf[j] -= buf[j - n]
+            # b[j] = a[j] + b[j-n]: running sums down the n residue lanes
+            # mod n, or row by row down the t_cap rows of n, whichever is fewer
+            if n <= t_cap:
+                for r in range(n):
+                    buf[r::n] = itertools.accumulate(buf[r::n])
             else:
-                for j in range(n, top + 1):
-                    buf[j] += buf[j - n]
+                for j in range(n, top + 1, n):
+                    buf[j : j + n] = map(operator.add, buf[j : j + n], buf[j - n : j])
         return
     t_max = min(e, t_cap) if e > 0 else t_cap
     terms = _binomial_terms(sign, e, t_max)
@@ -531,15 +526,9 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
         return
     # |e| division passes against t_cap binomial terms, each a sweep of half
     # the buffer on average; measured break-evens t_cap/|e| ran from 8 to 27
-    if e < 0 and -16 * e <= t_cap and m * (t_cap + 2) < _I64_CAP:
+    if sign < 0 and e < 0 and -16 * e <= t_cap and m * (t_cap + 2) < _I64_CAP:
         for _ in range(-e):
-            if sign > 0:
-                # 1/(1+x) = (1-x)/(1-x^2); numpy buffers the overlapping
-                # operands, so the subtraction reads pre-pass values
-                np.subtract(arr[n:], arr[:-n], out=arr[n:])
-                _divide_one_minus(arr, 2 * n)
-            else:
-                _divide_one_minus(arr, n)
+            _divide_one_minus(arr, n)
             arr %= m
         return
     if (m - 1) * (m - 1) + m >= _I64_CAP:

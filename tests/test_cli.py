@@ -520,7 +520,7 @@ class TestMemoryError:
         monkeypatch.setattr(genfun, "build_series", exhausted)
         code, out, err = run(capsys, "expand", "over", "--order", "100000000000")
         assert code == 1 and out == ""
-        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert err == "error: out of memory\n"
 
     @pytest.mark.parametrize("argv", [
         ["expand", "over", "--order", str(10**30)],
@@ -541,7 +541,8 @@ class TestMemoryError:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        # the size that overflowed need not be --order, --bound or --n
+        assert proc.stderr == "error: out of memory\n"
 
 
 class TestScanAndDensity:

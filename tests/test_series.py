@@ -400,6 +400,23 @@ def times_factor(s, sign, n, e):
     return binomial_product(s.ring, s.order, [(sign, n, e)], s)
 
 
+@st.composite
+def gate_boundary(draw):
+    """(order, n, e) with order // (stride*n) within 2 of 16|e|, stride 1 or 2.
+
+    16|e| <= order // n is the cut-off of the division passes by 1 - q^n,
+    and 16|e| <= order // (2n) that of the division by 1 - q^(2n) into
+    which 1/(1+q^n)^k is folded.
+    """
+    e = draw(st.integers(min_value=-8, max_value=8))
+    stride = draw(st.sampled_from([1, 2]))
+    cap = max(1, 16 * abs(e) + draw(st.integers(min_value=-2, max_value=2)))
+    n = draw(st.integers(min_value=1, max_value=600 // (stride * cap)))
+    base = stride * n * cap
+    order = base + draw(st.integers(min_value=0, max_value=min(stride * n, 601 - base) - 1))
+    return order, n, e
+
+
 class TestBinomialKernel:
     def test_geometric(self):
         assert binomial_product(EXACT, 3, [(-1, 1, -1)]).tolist() == [1, 1, 1, 1]
@@ -445,6 +462,37 @@ class TestBinomialKernel:
             want = s.mul(factor.pow(-e).inverse_of_unit())
         assert got == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=gate_boundary(),
+        sign=st.sampled_from([1, -1]),
+        modulus=st.sampled_from([None, 2, 4, 7, 12, 64, 3037000500, 3037000501,
+                                 2**40 + 3, 2**61 + 1]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    # 16|e| against order // n: at 16 the passes, at 15 the term loop
+    @example(case=(160, 10, -1), sign=-1, modulus=7, seed=1)
+    @example(case=(159, 10, -1), sign=-1, modulus=7, seed=1)
+    # 16|e| against order // (2n) for the folded 1/(1+q^n)^k
+    @example(case=(320, 10, -1), sign=1, modulus=12, seed=2)
+    @example(case=(319, 10, -1), sign=1, modulus=12, seed=2)
+    # |e| against order // (2n) over Z, where the passes need only |e| <= N/s
+    @example(case=(30, 5, -3), sign=1, modulus=None, seed=3)
+    @example(case=(29, 5, -3), sign=1, modulus=None, seed=3)
+    # (m-1)^2 + m against 2^63: int64 terms, then Python integers
+    @example(case=(300, 3, -5), sign=1, modulus=3037000500, seed=4)
+    @example(case=(300, 3, -5), sign=1, modulus=3037000501, seed=4)
+    def test_gate_boundaries_match_dense(self, case, sign, modulus, seed):
+        order, n, e = case
+        ring = EXACT if modulus is None else Mod(modulus)
+        s = Series(ring, order, random_coeffs(seed, modulus or 19, order + 1))
+        dense = [1] + [0] * order
+        if n <= order:
+            dense[n] = sign
+        factor = Series(ring, order, dense).pow(abs(e))
+        want = (factor if e >= 0 else factor.inverse_of_unit()).mul(s)
+        assert times_factor(s, sign, n, e) == want
+
     @settings(max_examples=100, deadline=None)
     @given(
         order=st.integers(min_value=0, max_value=400),
@@ -468,17 +516,22 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("modulus", [7, 12, 2**40])
     def test_large_part_divides_by_passes(self, monkeypatch, order, n, e, sign, modulus):
-        # n above sqrt(order), yet 16*|e| <= order // n: passes, no binomial terms
+        # n above sqrt(order), yet 16*|e| <= order // n: passes, no expansion
+        # into order // n binomial terms.  1/(1+q^n)^k is folded into
+        # (1-q^n)^k, k terms, and a division at stride 2n, which its own
+        # order // (2n) gates
         ring = Mod(modulus)
         s = Series(ring, order, random_coeffs(n, modulus, order + 1))
         dense = [1] + [0] * order
         dense[n] = sign
         want = s.mul(Series(ring, order, dense).pow(-e).inverse_of_unit())
+        terms = series_module._binomial_terms
 
-        def no_terms(*args):
-            raise AssertionError("binomial terms used")
+        def few_terms(term_sign, term_e, t_max):
+            assert t_max < order // n, "binomial terms used"
+            return terms(term_sign, term_e, t_max)
 
-        monkeypatch.setattr(series_module, "_binomial_terms", no_terms)
+        monkeypatch.setattr(series_module, "_binomial_terms", few_terms)
         assert times_factor(s, sign, n, e) == want
 
 
