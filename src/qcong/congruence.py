@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .genfun import Family, build_series
-from .series import Ring, Series
+from .series import Ring, Series, _reduce
 
 # numpy after the package modules: importing it first raises the peak RSS
 # (ru_maxrss) of ``import qcong.congruence`` by about 2 MB
@@ -349,7 +349,7 @@ def verify_claim(claim: Claim, store: SeriesStore, bound: int) -> Report:
         return _report(claim, bound, got, other._c[ap], claim.b)
     args = np.arange(ap.start, ap.stop, ap.step, dtype=np.int64)
     want, keep = PREDICATES[claim.kind.name](args)
-    want %= m
+    _reduce(want, m, out=want)
     if keep is not None:
         args, got, want = args[keep], got[keep], want[keep]
     return _report(claim, bound, got, want, claim.b, args)
@@ -369,7 +369,8 @@ def verify_sum_claim(claim: SumClaim, store: SeriesStore, bound: int) -> Report:
     for s, b in zip(series, offsets):
         start = l * n0 + b
         # both summands are below m < 2^62, so the sum cannot overflow int64
-        total = (total + s._c[start : start + l * count : l]) % m
+        total += s._c[start : start + l * count : l]
+        _reduce(total, m, out=total)
     # a sum claim reports the first term's argument l*n + b_1
     return _report(claim, bound, total, claim.residue, offsets[0])
 

@@ -84,9 +84,21 @@ def _normalize_exact(coeffs) -> tuple[int, ...]:
     return tuple(operator.index(c) for c in coeffs)
 
 
+def _reduce(x, m: int, out=None):
+    """numpy's ``x % m`` for an int64 array, by a mask when m is a power of two.
+
+    Every 2^r below the cap divides 2^64, so the low r bits of an int64 in
+    two's complement are its residue, for negative values too; the mask
+    vectorises where the division does not.
+    """
+    if m & (m - 1):
+        return np.remainder(x, m, out=out)
+    return np.bitwise_and(x, m - 1, out=out)
+
+
 def _normalize_mod(coeffs, m: int) -> np.ndarray:
     if isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int64:
-        arr = coeffs % m
+        arr = _reduce(coeffs, m)
     else:
         # Big or negative Python ints reduce before entering int64 storage.
         arr = np.fromiter(
@@ -197,7 +209,8 @@ class Series:
             return Series._wrap(
                 self.ring, tuple(a + b for a, b in zip(self._c, other._c))
             )
-        return Series._wrap(self.ring, (self._c + other._c) % self.ring.modulus)
+        total = self._c + other._c
+        return Series._wrap(self.ring, _reduce(total, self.ring.modulus, out=total))
 
     def mul(self, other: "Series") -> "Series":
         """Cauchy product truncated at the common order."""
@@ -273,7 +286,7 @@ class Series:
             return Series(ring, self.order, self._c)
         if cur % m != 0:
             raise ValueError(f"cannot reduce mod {m}: {m} does not divide {cur}")
-        return Series._wrap(ring, self._c % m)
+        return Series._wrap(ring, _reduce(self._c, m))
 
     def inflate(self, stride: int, order: int | None = None) -> "Series":
         """Substitute q -> q^stride, truncating at ``order`` (default: same)."""
@@ -387,12 +400,12 @@ def _limb_shifts(k: int):
 def _horner_step(out, c, w, m, top) -> None:
     """out <- out * 2^w + c mod m in place; at the top shift out is still 0."""
     if top:
-        np.remainder(c, m, out=out[: len(c)])
+        _reduce(c, m, out=out[: len(c)])
         return
     _shift_mod(out, w, m)
-    c %= m
+    _reduce(c, m, out=c)
     out[: len(c)] += c
-    out %= m
+    _reduce(out, m, out=out)
 
 
 def _newton_step(a: np.ndarray, b: np.ndarray, m: int, p2: int) -> np.ndarray:
@@ -417,9 +430,10 @@ def _newton_step(a: np.ndarray, b: np.ndarray, m: int, p2: int) -> np.ndarray:
         if h is not None:
             bh = _spectral_product(_spectra(h, m, w, size), sb, m, w, size, n)
             if bh is not None:
-                return -bh % m
+                return _reduce(np.negative(bh, out=bh), m, out=bh)
     h = _mul_mod(a[:p2], b, m, p2)[p:]
-    return -_mul_mod(b, h, m, n) % m
+    bh = _mul_mod(b, h, m, n)
+    return _reduce(np.negative(bh, out=bh), m, out=bh)
 
 
 def _limb_count(m: int, w: int) -> int:
@@ -441,7 +455,7 @@ def _shift_mod(x: np.ndarray, w: int, m: int) -> None:
     while w > 0 and x.any():
         t = min(step, w)
         np.left_shift(x, t, out=x)
-        x %= m
+        _reduce(x, m, out=x)
         w -= t
 
 
@@ -529,7 +543,7 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
     if sign < 0 and e < 0 and -16 * e <= t_cap and m * (t_cap + 2) < _I64_CAP:
         for _ in range(-e):
             _divide_one_minus(arr, n)
-            arr %= m
+            _reduce(arr, m, out=arr)
         return
     if (m - 1) * (m - 1) + m >= _I64_CAP:
         # enormous modulus: do it with Python integers
@@ -539,20 +553,28 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
         return
     t_max = t_cap if e < 0 else min(e, t_cap)
     terms = _binomial_terms(sign, e, t_max)
-    # a term adds at most (m-1)^2; reduce after each one only when the sum
-    # of all of them could leave int64
+    # a term adds at most (m-1)^2 in absolute value; reduce after each one
+    # only when the sum of all of them could leave int64
     each = (m - 1) * (m - 1) * (t_max + 2) >= _I64_CAP
-    snap = arr.copy()
+    # one term reads the buffer itself: numpy evaluates overlapping operands
+    # as if they were copied
+    snap = arr if t_max == 1 else arr.copy()
     for t in range(1, t_max + 1):
+        # c_t balanced into (-m/2, m/2], so m - 1 is a subtraction
         ct = terms[t] % m
+        if ct > m // 2:
+            ct -= m
         if ct:
             view = arr[n * t :]
             src = snap[: top + 1 - n * t]
-            view += src if ct == 1 else ct * src
+            if ct == -1:
+                view -= src
+            else:
+                view += src if ct == 1 else ct * src
             if each:
-                view %= m
+                _reduce(view, m, out=view)
     if not each:
-        arr %= m
+        _reduce(arr, m, out=arr)
 
 
 def _divide_one_minus(buf: np.ndarray, stride: int) -> None:

@@ -22,12 +22,12 @@ MODULI = [2, 4, 8, 12, 64]
 # moduli and orders for the Newton middle product: orders near _FFT_MIN_LEN,
 # where the first FFT step and a one- or two-term last step occur, and orders
 # whose last step is short (N + 1 not a power of two)
-NEWTON_MODULI = [2, 3, 8, 12, 64, 2**40 + 3, 2**61 + 1]
+NEWTON_MODULI = [2, 3, 8, 12, 64, 2**32, 2**40 + 3, 2**61, 2**61 + 1]
 NEWTON_ORDERS = [255, 256, 257, 511, 512, 513, 3000]
 
 # moduli up to the cap; 2**40 and above need more than one FFT limb
 WIDE_MODULI = st.one_of(
-    st.sampled_from([2, 9, 64, 2**31 - 1, 2**40, 2**61 + 1, 2**62 - 1]),
+    st.sampled_from([2, 9, 64, 2**31 - 1, 2**32, 2**40, 2**61, 2**61 + 1, 2**62 - 1]),
     st.integers(min_value=2, max_value=2**62 - 1),
 )
 
@@ -467,7 +467,7 @@ class TestBinomialKernel:
         case=gate_boundary(),
         sign=st.sampled_from([1, -1]),
         modulus=st.sampled_from([None, 2, 4, 7, 12, 64, 3037000500, 3037000501,
-                                 2**40 + 3, 2**61 + 1]),
+                                 2**32, 2**40 + 3, 2**61, 2**61 + 1]),
         seed=st.integers(min_value=0, max_value=2**32),
     )
     # 16|e| against order // n: at 16 the passes, at 15 the term loop
@@ -483,15 +483,18 @@ class TestBinomialKernel:
     @example(case=(300, 3, -5), sign=1, modulus=3037000500, seed=4)
     @example(case=(300, 3, -5), sign=1, modulus=3037000501, seed=4)
     def test_gate_boundaries_match_dense(self, case, sign, modulus, seed):
+        # the dense product is taken over Z and then reduced
         order, n, e = case
-        ring = EXACT if modulus is None else Mod(modulus)
-        s = Series(ring, order, random_coeffs(seed, modulus or 19, order + 1))
+        coeffs = random_coeffs(seed, modulus or 19, order + 1)
         dense = [1] + [0] * order
         if n <= order:
             dense[n] = sign
-        factor = Series(ring, order, dense).pow(abs(e))
-        want = (factor if e >= 0 else factor.inverse_of_unit()).mul(s)
-        assert times_factor(s, sign, n, e) == want
+        factor = Series(EXACT, order, dense).pow(abs(e))
+        want = (factor if e >= 0 else factor.inverse_of_unit()).mul(Series(EXACT, order, coeffs))
+        ring = EXACT
+        if modulus is not None:
+            ring, want = Mod(modulus), want.reduce_mod(modulus)
+        assert times_factor(Series(ring, order, coeffs), sign, n, e) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -608,6 +611,28 @@ class TestSparsePower:
         one = Series.one(EXACT, order)
         assert inv[0] == -1
         assert a.mul(inv) == one and inv.mul(a) == one
+
+
+INT64_EDGES = [-(2**63), -1, 0, 2**63 - 1]
+
+
+class TestReduce:
+    """``_reduce``, a mask for powers of two and a remainder otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40),
+        m=st.sampled_from([2, 4, 8, 64, 2**31, 2**32, 2**61,
+                           3, 12, 2**31 - 1, 3037000500, 2**61 + 1]),
+    )
+    def test_matches_python_remainder(self, values, m):
+        values = INT64_EDGES + values
+        want = [v % m for v in values]
+        x = np.array(values, dtype=np.int64)
+        assert series_module._reduce(x, m).tolist() == want
+        assert x.tolist() == values
+        out = series_module._reduce(x, m, out=x)
+        assert out is x and x.tolist() == want
 
 
 class TestReduceMod:
