@@ -1,10 +1,12 @@
 """Named generating functions for the partition families.
 
 Every non-restricted family is prod_n R(q^n)^(e_n), R(x) = (1+x)/(1-x), with
-e_n from ``Family.exponent``; restricted is prod_a 1/(1-q^a) over its parts.
-The binomial kernel truncates either product at factor index n = order,
-exact because factor n only contributes from degree n on, and stays the
-independent reference of the faster routes ``build_series`` takes.
+e_n from ``Family.exponent``.  As R(x)^e = (1-x^2)^e / (1-x)^(2e),
+``_family_factors`` gives it as prod_s (1-q^s)^(k_s) with
+k_s = e_(s/2)*[s even] - 2*e_s; restricted is prod_a 1/(1-q^a) over its
+parts.  The binomial kernel truncates either product at factor index
+s = order, exact because factor s only contributes from degree s on, and
+stays the independent reference of the faster routes ``build_series`` takes.
 """
 
 from __future__ import annotations
@@ -146,10 +148,9 @@ def _family_factors(family: Family, order: int):
         for part in family.parts:
             yield (-1, part, -1)
         return
-    for n in range(1, order + 1):
-        if e := family.exponent(n):
-            yield (+1, n, e)
-            yield (-1, n, -e)
+    for s in range(1, order + 1):
+        if k := (s % 2 == 0 and family.exponent(s // 2)) - 2 * family.exponent(s):
+            yield (-1, s, k)
 
 
 def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
@@ -224,15 +225,14 @@ def _restricted_by_period(family: Family, order: int, ring: Ring) -> Series | No
 def _log_derivative_exact(family: Family, order: int) -> Series:
     """The family's series over Z from its logarithmic derivative.
 
-    q*d/dq log prod_d R(q^d)^(e_d) = sum_N c_N q^N with
-    c_N = 2 * sum_{d | N, N/d odd} d*e_d, so n*a_n = sum_{N=1..n} c_N*a_(n-N):
-    O(N^2) big-integer products in C-level loops, and no binomial passes.
+    q*d/dq log prod_s (1-q^s)^(k_s) = sum_N c_N q^N, c_N = -sum_{s|N} s*k_s
+    over ``_family_factors``, so n*a_n = sum_{N=1..n} c_N*a_(n-N): O(N^2)
+    big-integer products in C-level loops, and no binomial passes.
     """
     c = [0] * (order + 1)
-    for d in range(1, order + 1):
-        w = 2 * d * family.exponent(d)
-        for k in range(d, order + 1, 2 * d):
-            c[k] += w
+    for _, s, k in _family_factors(family, order):
+        for j in range(s, order + 1, s):
+            c[j] -= s * k
     a = [1] + [0] * order
     for n in range(1, order + 1):
         a[n] = sum(map(operator.mul, c[1 : n + 1], reversed(a[:n]))) // n

@@ -1,12 +1,13 @@
 """Reference series that several test files compare qcong's builders against.
 
 None of them goes through ``genfun.build_series``: the binomial kernel
-applied to a family's factors, the two sides of the theta identities, the
-square-count series, the 2-adic expansion and the finite theta product of
-the overpartition series, and the factor (1+q^n)/(1-q^n).  Also the
-shift-by-shift period scan that ``periodicity.empirical_period`` replaced,
-a restricted family whose Kwong period is too long to print, and the
-divisor-sum closed forms of the other families modulo 4 and 8.
+applied to a family's factors as written out here, the two sides of the
+theta identities, the square-count series, the 2-adic expansion and the
+finite theta product of the overpartition series, and the factor
+(1+q^n)/(1-q^n).  Also the shift-by-shift period scan that
+``periodicity.empirical_period`` replaced, a restricted family whose Kwong
+period is too long to print, and the divisor-sum closed forms of the other
+families modulo 4 and 8.
 """
 
 import functools
@@ -14,14 +15,28 @@ import math
 
 import numpy as np
 
-from qcong import genfun
 from qcong.genfun import Family, phi_series
 from qcong.series import EXACT, Mod, Ring, Series, binomial_product
 
 
+def r_form_factors(family, order):
+    """The family's kernel factors, written out apart from ``genfun``.
+
+    (1 - q^a)^-1 per part a of a restricted family; otherwise the product
+    of R(q^n)^(e_n) as it reads, (1 + q^n)^(e_n) and (1 - q^n)^(-e_n) for
+    each n <= order with e_n from ``EXPONENTS``.  genfun hands the kernel
+    one (1 - q^s)^(k_s) per s instead.
+    """
+    if family.kind == "restricted":
+        return [(-1, part, -1) for part in family.parts]
+    e = EXPONENTS[family.kind](np.arange(order + 1), family.k).tolist()
+    return [(sign, n, sign * e[n]) for n in range(1, order + 1) if e[n]
+            for sign in (+1, -1)]
+
+
 def kernel_series(family, order, ring):
     """The family through the binomial kernel, the independent reference."""
-    return binomial_product(ring, order, genfun._family_factors(family, order))
+    return binomial_product(ring, order, r_form_factors(family, order))
 
 
 def phi_factorizations(order: int):
@@ -166,7 +181,7 @@ def _divisor_pairs(order: int):
 
 # e_n of F = prod_n R(q^n)^(e_n) per family kind, for an array n and the row
 # count k of plk.  Written out here, not read from ``Family.exponent``, so the
-# closed forms stay independent of the code they check.
+# kernel reference and the closed forms stay independent of the code they check.
 EXPONENTS = {
     "over": lambda n, k: np.ones_like(n),
     "oddover": lambda n, k: n % 2,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -26,6 +27,7 @@ from references import (
     kernel_series,
     phi_factorizations,
     phi_product_approx,
+    r_form_factors,
     sum_of_squares_series,
     two_adic_overpartition,
 )
@@ -651,6 +653,100 @@ class TestClosedForms:
         got = build_series(family, order, Mod(modulus))
         want = closed_form(family, order, modulus)
         assert got == want, got.first_mismatch(want)
+
+
+class TestKernelFactors:
+    """genfun's one factor (1 - q^s)^(k_s) per s, against the R-form pairs.
+
+    The kernel routes and the exact plane recurrence read the same factor
+    list, so both are checked against pairs written out from ``EXPONENTS``.
+    """
+
+    @pytest.mark.parametrize("ring", [EXACT, Mod(4), Mod(8), Mod(12), Mod(2**61)], ids=repr)
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
+    def test_build_matches_r_form_pairs(self, family, ring):
+        for order in (0, 1, 2, 17, 300):
+            got = build_series(family, order, ring)
+            want = binomial_product(ring, order, r_form_factors(family, order))
+            assert got == want, (order, got.first_mismatch(want))
+
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
+    def test_one_factor_per_part_size(self, family):
+        factors = list(genfun._family_factors(family, 60))
+        sizes = [s for _, s, _ in factors]
+        assert sizes == sorted(set(sizes))
+        assert all(sign == -1 and k for sign, _, k in factors)
+        assert binomial_product(EXACT, 60, factors) == kernel_series(family, 60, EXACT)
+
+
+CUTOFF_MODULI = sorted({*(2**r for r in range(1, 7)), *(3 * 2**r for r in range(5)),
+                        3, 9, 27, 5, 7, 2**32, 2**61, 3037000500, 3037000501})
+FREE_ORDER = 300  # orders drawn where no order cut-off applies
+PLANE_ORDER = 34**2  # above every plane class-route cut-off drawn, M^2 <= 32^2
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_kernel(family, order):
+    return kernel_series(family, order, EXACT).tolist()
+
+
+def _order_cutoff(family, modulus):
+    """The order from which ``build_series`` changes route over Z/modulus.
+
+    plane and ncolor take the class route once M^2 <= order, M = modulus/2;
+    a restricted family is tiled once P + D <= order + 1.  Both need a power
+    of two; None where no order cut-off applies below 10^4.
+    """
+    if modulus & (modulus - 1):
+        return None
+    if family.kind in ("plane", "ncolor"):
+        cutoff = (modulus // 2) ** 2
+        return cutoff if cutoff + 2 <= PLANE_ORDER else None
+    if family.kind == "restricted":
+        period = kwong_period(family.parts, 2, modulus.bit_length() - 1).period
+        cutoff = period + sum(family.parts) - 1
+        return cutoff if cutoff + 2 <= 10**4 else None
+    return None
+
+
+class TestRouteCutoffs:
+    """Every family within 2 of each route cut-off, against the exact kernel.
+
+    The moduli include both sides of over's M <= 4 and of the kernel's
+    (m-1)^2 + m >= 2^63 (3037000500 and 3037000501), moduli with an odd
+    factor and 2^32 and 2^61, whose class-route and tiling cut-offs lie far
+    beyond any order built here.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.one_of(
+            st.sampled_from(CLOSED_FORM_FAMILIES),
+            st.lists(st.integers(1, 6), min_size=1, max_size=4).map(Family.restricted),
+        ),
+        modulus=st.sampled_from(CUTOFF_MODULI),
+        offset=st.integers(-2, 2),
+        free=st.integers(0, FREE_ORDER),
+    )
+    @example(family=Family.plane(), modulus=64, offset=-1, free=0)
+    @example(family=Family.plane(), modulus=64, offset=0, free=0)
+    @example(family=Family.ncolor(), modulus=4, offset=-1, free=0)
+    @example(family=Family.ncolor(), modulus=4, offset=0, free=0)
+    @example(family=Family.restricted([1, 2, 2, 3, 3]), modulus=64, offset=-1, free=0)
+    @example(family=Family.restricted([1, 2, 2, 3, 3]), modulus=64, offset=0, free=0)
+    @example(family=Family.plane(), modulus=3037000500, offset=0, free=FREE_ORDER)
+    @example(family=Family.plane(), modulus=3037000501, offset=0, free=FREE_ORDER)
+    def test_matches_exact_kernel(self, family, modulus, offset, free):
+        cutoff = _order_cutoff(family, modulus)
+        order = free if cutoff is None else max(cutoff + offset, 0)
+        if family.kind == "restricted":
+            exact = _exact_kernel(family, order)
+        else:
+            top = PLANE_ORDER if family.kind in ("plane", "ncolor") else FREE_ORDER
+            exact = _exact_kernel(family, top)[: order + 1]
+        want = Series(Mod(modulus), order, exact)
+        got = build_series(family, order, Mod(modulus))
+        assert got == want, (order, got.first_mismatch(want))
 
 
 class TestPhi:
