@@ -30,8 +30,8 @@ class Family:
 
     kind 'plk' is the k-rowed plane overpartition family and needs k >= 1;
     'restricted' is partitions into parts from a multiset, held as the sorted
-    tuple of its parts with repeats.  ``exponent`` gives the products of the
-    other kinds.
+    tuple of its parts with repeats.  ``exponent`` and ``exponents`` give the
+    products of the other kinds.
     """
 
     kind: str
@@ -114,23 +114,36 @@ class Family:
             return cls.restricted([int(p) for p in body.split(",")])
         return cls(token)
 
-    def exponent(self, n: int) -> int:
+    def _exponent_rule(self, n, minimum):
         """e_n of the family as prod_n R(q^n)^(e_n), R(x) = (1+x)/(1-x).
 
         e_n = 1 (over), [n odd] (oddover), min(k, n) (plk) and n (plane, the
         Corteel-Savelief-Vuletic product; ncolor shares it by definition, as
-        checked against the enumeration oracle).  Every construction route
-        reads this one table.  restricted has none and raises ValueError.
+        checked against the enumeration oracle), for n >= 1, and e_0 = 0;
+        over is min(1, n), plk with k = 1.
+        ``n`` is an int or an int64 array with its ``minimum``, so
+        ``exponent`` and ``exponents`` are one table, which every
+        construction route reads.  restricted has none and raises ValueError.
         """
         if self.kind == "restricted":
             raise ValueError("restricted family has no exponents of R(q^n)")
-        if self.kind == "over":
-            return 1
         if self.kind == "oddover":
-            return n % 2
-        if self.kind == "plk":
-            return min(self.k, n)
+            return n & 1
+        if self.kind in ("over", "plk"):
+            return minimum(n, 1 if self.k is None else self.k)
         return n
+
+    def exponent(self, n: int) -> int:
+        """e_n, the scalar view of ``_exponent_rule``."""
+        return self._exponent_rule(n, min)
+
+    def exponents(self, order: int) -> np.ndarray:
+        """e_0, ..., e_order as an int64 array, the array view of ``_exponent_rule``.
+
+        A bound k above the order is cut to it, so any k fits in int64.
+        """
+        n = np.arange(order + 1, dtype=np.int64)
+        return self._exponent_rule(n, lambda n, k: np.minimum(n, min(k, order), out=n))
 
     def __str__(self) -> str:
         return self.token
@@ -156,12 +169,16 @@ def _family_factors(family: Family, order: int):
 def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     """Truncated generating function of the family over the given ring.
 
-    With e_n = ``family.exponent(n)`` and M = 2^(r-1) over Z/2^r: over is
-    1/phi(-q) by Newton inversion, or over Z/2, Z/4 and Z/8 the ``_lift`` of
-    over = phi(q) (mod 4); oddover is phi(q) * over(q^2); plk is
+    With e_n = ``family.exponent(n)`` and M = 2^(r-1) over Z/2^r: over, and
+    plk1 with the same exponents outside Z, is 1/phi(-q) by Newton
+    inversion, or over Z/2, Z/4 and Z/8 the ``_lift`` of over = phi(q)
+    (mod 4).  Every other
+    non-restricted family over Z/2 and Z/4, and plane and ncolor over Z/8,
+    is read off the divisor sums of its exponents (``_expansion``).
+    Otherwise oddover is phi(q) * over(q^2); plk is
     over^k * prod_{i<k} R(q^i)^(e_i - k), each exponent reduced by
     ``_balanced`` modulo M since R(x)^M = 1 (mod 2M), and a negative power of
-    over is one of phi(-q), so no plk modulo 2 to 8 needs an inverse.  plane
+    over is one of phi(-q), so no plk modulo 8 needs an inverse.  plane
     and ncolor take the ``_lift`` of their residue classes when
     ``_class_route`` allows it, and over Z ``_log_derivative_exact``.
     restricted over Z/2^r is tiled from one checked Kwong period that fits
@@ -170,10 +187,13 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     half = _two_power_half(ring)  # 2^(r-1) over Z/2^r, else None
-    if family.kind == "over":
+    if family.kind == "over" or family.k == 1 and not ring.exact:  # plk1 is over
         if half is not None and half <= 4:  # above Z/8 Newton is faster
             return _lift(order, ring, half, lambda n, r, _: phi_series(+1, n, r))
         return phi_series(-1, order, ring).inverse_of_unit()
+    if half is not None and family.kind != "restricted" and (
+            half <= 2 or half == 4 and family.kind in ("plane", "ncolor")):
+        return _expansion(family, order, ring)
     if family.kind == "oddover":
         over_q2 = build_series(Family.overpartitions(), order // 2, ring)
         return phi_series(+1, order, ring).mul(over_q2.inflate(2, order))
@@ -195,6 +215,117 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         if tiled is not None:
             return tiled
     return binomial_product(ring, order, _family_factors(family, order))
+
+
+def _expansion(family: Family, order: int, ring: Ring) -> Series:
+    """A non-restricted family over Z/2, Z/4 or Z/8 from divisor sums.
+
+    R(x) = 1 + 2L(x), L(x) = x/(1-x), and (1+2L)^e = 1 + 2eL + 4*C(e,2)*L^2
+    (mod 8) for every integer e, so F = prod_n R(q^n)^(e_n) is
+    F = 1 + 2S (mod 4) and F = 1 + 2S + 2S^2 - 2T (mod 8), where S has
+    coefficients s(N) = sum_{d|N} e_d and T has t(N) = sum_{d|N} e_d*(N/d - 1)
+    (arXiv 1706.03617).  Modulo 2, F is 1.  Modulo 8 only S mod 2 enters
+    S^2; it must have few ones (O(sqrt N) for plane and ncolor), since the
+    square is taken pair by pair (``_sparse_square``).
+    """
+    m = ring.modulus
+    if m == 2:
+        return Series.one(ring, order)
+    e = family.exponents(order)
+    if m == 4:
+        out = _divisor_sum_parity(e)
+        out <<= 1
+    else:
+        s, t = _divisor_sums(e)
+        odd = np.flatnonzero(s & 1)
+        out = (s - t + _sparse_square(odd, order)).astype(np.int64)
+        out <<= 1
+        out &= m - 1
+    out[0] = 1
+    return Series._wrap(ring, out)
+
+
+def _divisor_sum_parity(e: np.ndarray) -> np.ndarray:
+    """s(N) = sum_{d|N} e_d mod 2 for N = 0..order, as an int64 array.
+
+    With e_d = c0 + c1*[d odd] (mod 2) outside the head H of
+    ``_parity_pattern``: d has an odd number of divisors iff N is a square,
+    and of odd divisors iff N = x^2 or 2x^2, so
+    s(N) = (c0 + c1)*[N = x^2] + c1*[N = 2x^2] + #{h in H : h | N} (mod 2),
+    each h one strided XOR.
+    """
+    order = len(e) - 1
+    c0, c1, head = _parity_pattern(e)
+    out = np.zeros(order + 1, dtype=np.int64)
+    if c0 ^ c1:
+        x = np.arange(1, math.isqrt(order) + 1)
+        out[x * x] = 1
+    if c1:
+        x = np.arange(1, math.isqrt(order // 2) + 1)
+        out[2 * x * x] = 1
+    for h in head:
+        out[h::h] ^= 1
+    return out
+
+
+def _parity_pattern(e: np.ndarray):
+    """(c0, c1, head) with e_d = c0 + c1*[d odd] + [d in head] (mod 2), d >= 1.
+
+    c0 and c1 are read off the two largest d, so the head is the finite set
+    of d where the table leaves that pattern: the d < k with d != k (mod 2)
+    for plk, and none for the other families.
+    """
+    order = len(e) - 1
+    head = e.astype(np.uint8)  # e mod 256 keeps the parity
+    head &= 1
+    c0 = int(head[order - order % 2]) if order > 1 else 0  # at the largest even d
+    c1 = int(head[order - 1 + order % 2]) ^ c0 if order else 0  # and odd d
+    head[2::2] ^= c0
+    head[1::2] ^= c0 ^ c1
+    return c0, c1, np.flatnonzero(head).tolist()
+
+
+def _divisor_sums(e: np.ndarray):
+    """s(N) = sum_{d|N} e_d and t(N) = sum_{d|N} e_d*(N/d - 1) mod 256.
+
+    One sieve over the pairs d*j = N with d <= j: the squares N = d*d add
+    e_d and e_d*(d-1) at once, and for each d <= sqrt(order) the N = d*j,
+    j = d+1..order//d, are one stride-d slice, where the pair adds
+    e_d + e_j to s and e_d*(j-1) + e_j*(d-1) to t.  uint8 words wrap
+    modulo 256, which 4 divides, so sums mod 4 stay exact.  O(N log N) word
+    operations in O(sqrt N) numpy calls.
+    """
+    order = len(e) - 1
+    w = e.astype(np.uint8)
+    less_one = np.arange(-1, order).astype(np.uint8)  # n - 1 at index n
+    s = np.zeros(order + 1, dtype=np.uint8)
+    t = np.zeros(order + 1, dtype=np.uint8)
+    roots = np.arange(1, math.isqrt(order) + 1)
+    s[roots * roots] = w[roots]
+    t[roots * roots] = w[roots] * less_one[roots]
+    for d in roots.tolist():
+        top = order // d + 1
+        ed, ej = w[d], w[d + 1 : top]
+        sv, tv = s[d * (d + 1) :: d], t[d * (d + 1) :: d]
+        np.add(sv, ej, out=sv)
+        np.add(sv, ed, out=sv)
+        np.add(tv, ej * less_one[d], out=tv)
+        np.add(tv, less_one[d + 1 : top] * ed, out=tv)
+    return s, t
+
+
+def _sparse_square(ones: np.ndarray, order: int) -> np.ndarray:
+    """(sum_{p in ones} q^p)^2 truncated at ``order``, mod 256, as uint8.
+
+    Each block of rows adds at most order + 1 pair sums, so the pairs never
+    take more memory than the series.
+    """
+    out = np.zeros(order + 1, dtype=np.uint8)
+    rows = max(1, (order + 1) // max(1, len(ones)))
+    for i in range(0, len(ones), rows):
+        sums = (ones[i : i + rows, None] + ones[None, :]).ravel()
+        out += np.bincount(sums[sums <= order], minlength=order + 1).astype(np.uint8)
+    return out
 
 
 def _restricted_by_period(family: Family, order: int, ring: Ring) -> Series | None:
@@ -270,7 +401,8 @@ def _class_route(order: int, ring: Ring) -> bool:
     word operations and O(M) series products; the kernel costs O(N^2 log N)
     whatever M is.  Up to M = isqrt(N) the class route measured 1.2x (tiny
     N) to over 100x faster, so it is taken there; larger M, moduli with an
-    odd factor and the exact ring stay on the kernel.
+    odd factor and the exact ring stay on the kernel.  ``build_series``
+    asks only from Z/16 on (M >= 8): Z/2, Z/4 and Z/8 take ``_expansion``.
     """
     half = _two_power_half(ring)
     if half is None:
@@ -373,7 +505,7 @@ def _over_power(k: int, order: int, ring: Ring) -> Series:
     """over^k = phi(-q)^(-k) for any integer k; the series 1 for k = 0.
 
     In a modular ring a positive k powers over as ``build_series`` makes
-    it (the 2-adic lift modulo 2 to 8, else the Newton inverse) and a
+    it (the 2-adic lift modulo 8, else the Newton inverse) and a
     negative k powers phi(-q) itself, with no inverse.  Exact coefficients
     come from ``_sparse_power`` over the O(sqrt N) nonzero terms of
     phi(-q), O(N^1.5) in all.

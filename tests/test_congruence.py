@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong import congruence
 from qcong.congruence import (
     PREDICATES,
     Claim,
@@ -218,6 +219,23 @@ class TestSeriesStore:
             store.put(Family.plane(), 4, series)
         store.put(Family.plane(), None, series)
         assert store.get(Family.plane()) is series
+
+    def test_catalog_builds_each_series_once_per_store(self, monkeypatch):
+        calls = []
+        original = congruence.build_series
+
+        def counted(family, order, ring=EXACT):
+            calls.append((family, order, ring))
+            return original(family, order, ring)
+
+        monkeypatch.setattr(congruence, "build_series", counted)
+        verify_at_reference(builtin_suite())
+        first = list(calls)
+        assert len(first) == len(set(first))
+        assert (Family.k_rowed(5), 4620, Mod(8)) in first
+        # no process-wide cache: a second catalog builds everything again
+        verify_at_reference(builtin_suite())
+        assert calls[len(first):] == first
 
     def test_put_with_mismatched_ring_cannot_fake_a_counterexample(self):
         # at the parent a mod-16 series under key 8 failed this true claim

@@ -203,7 +203,12 @@ def no_inverse(*args, **kwargs):
 
 
 class TestResidueExponents:
-    """plk over Z/2^r with every exponent reduced modulo M = 2^(r-1)."""
+    """plk over Z/2^r against the kernel, whatever the route.
+
+    From Z/8 on every exponent is reduced modulo M = 2^(r-1); over Z/2 and
+    Z/4 plk, plk1 aside, takes the expansion route, which these draws check
+    at large k and long heads too.
+    """
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -216,6 +221,7 @@ class TestResidueExponents:
     @example(bits=3, k=12, order=2000)
     @example(bits=3, k=6, order=2000)  # k = M/2 (mod M): the tie, phi(-q)^2
     @example(bits=4, k=36, order=1999)
+    @example(bits=3, k=40, order=2000)  # k = 0 (mod M) again
     @example(bits=1, k=13, order=2000)  # m = 2: plk is 1
     @example(bits=2, k=40, order=2000)
     def test_matches_binomial_kernel(self, bits, k, order):
@@ -394,28 +400,29 @@ PLANE_FAMILIES = [Family.plane(), Family.ncolor()]
 
 
 class TestClassRoute:
-    """plane/ncolor over Z/2^r by residue classes, against the kernel."""
+    """plane/ncolor over Z/2^r, r >= 4, by residue classes, against the kernel.
+
+    Over Z/2, Z/4 and Z/8 plane and ncolor take the expansion route instead.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(PLANE_FAMILIES),
-        bits=st.integers(min_value=1, max_value=8),
+        bits=st.integers(min_value=4, max_value=8),
         order=st.integers(min_value=0, max_value=1500),
     )
-    @example(family=Family.plane(), bits=2, order=1500)
-    @example(family=Family.plane(), bits=3, order=1500)
+    @example(family=Family.plane(), bits=4, order=1500)
+    @example(family=Family.plane(), bits=5, order=1500)
     @example(family=Family.ncolor(), bits=6, order=1024)
     @example(family=Family.plane(), bits=6, order=1023)
-    @example(family=Family.plane(), bits=4, order=63)
-    @example(family=Family.plane(), bits=4, order=64)
-    @example(family=Family.plane(), bits=3, order=1499)  # odd order, squared at 749
+    @example(family=Family.plane(), bits=4, order=1499)  # odd order, squared at 749
     @example(family=Family.plane(), bits=5, order=1025)
     @example(family=Family.ncolor(), bits=4, order=1023)  # odd at every level
-    # mod 4 on both sides of the cut-off half^2 <= order: kernel at 3, classes at 4
-    @example(family=Family.plane(), bits=2, order=3)
-    @example(family=Family.plane(), bits=2, order=4)
-    @example(family=Family.ncolor(), bits=2, order=3)
-    @example(family=Family.ncolor(), bits=2, order=4)
+    # mod 16 on both sides of the cut-off half^2 <= order: kernel at 63, classes at 64
+    @example(family=Family.plane(), bits=4, order=63)
+    @example(family=Family.plane(), bits=4, order=64)
+    @example(family=Family.ncolor(), bits=4, order=63)
+    @example(family=Family.ncolor(), bits=4, order=64)
     def test_matches_binomial_kernel(self, family, bits, order):
         ring = Mod(2**bits)
         got = build_series(family, order, ring)
@@ -445,7 +452,8 @@ class TestClassRoute:
 
     def test_independent_of_theta_builders_and_kernel(self, monkeypatch):
         # thm1.2-pl-eq-oddover-mod4 and cor3.2-pl-2n+1-eq-over-mod4 compare
-        # plane with oddover and over: both sides must be built apart
+        # plane with oddover and over: both sides must be built apart, by the
+        # expansion mod 4 and 8 and by the classes mod 16
         build = genfun.build_series
 
         def only_plane(family, order, ring=EXACT):
@@ -459,7 +467,7 @@ class TestClassRoute:
         monkeypatch.setattr(genfun, "build_series", only_plane)
         for name in ("phi_series", "_over_power", "binomial_product"):
             monkeypatch.setattr(genfun, name, broken)
-        got = {m: only_plane(Family.plane(), 2000, Mod(m)) for m in (4, 8)}
+        got = {m: only_plane(Family.plane(), 2000, Mod(m)) for m in (4, 8, 16)}
         monkeypatch.undo()
         for m, series in got.items():
             assert series == kernel_series(Family.plane(), 2000, Mod(m))
@@ -655,6 +663,108 @@ class TestClosedForms:
         assert got == want, got.first_mismatch(want)
 
 
+EXPANSION_CASES = [(family, m) for family in CLOSED_FORM_FAMILIES for m in (2, 4)]
+EXPANSION_CASES += [(family, 8) for family in PLANE_FAMILIES]
+EXPANSION_ORDER = 600
+
+
+def expansion_case_id(case):
+    return f"{case[0]}-mod{case[1]}"
+
+
+class TestExpansionRoute:
+    """Every family but over mod 2 and 4, and plane/ncolor mod 8, by divisor sums.
+
+    Checked against the binomial kernel over Z, reduced: that reference
+    shares neither the expansion nor the exponent table with the route.
+    over and plk1, the same series, keep the lift from phi(q) there and
+    are drawn here all the same.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(EXPANSION_CASES),
+           order=st.integers(min_value=0, max_value=EXPANSION_ORDER))
+    @example(case=(Family.plane(), 8), order=576)  # N = 24^2
+    @example(case=(Family.plane(), 8), order=577)
+    @example(case=(Family.ncolor(), 8), order=575)
+    @example(case=(Family.ncolor(), 8), order=578)  # N = 2 * 17^2
+    @example(case=(Family.plane(), 4), order=578)
+    @example(case=(Family.odd_overpartitions(), 4), order=512)  # N = 2 * 16^2
+    @example(case=(Family.overpartitions(), 4), order=577)
+    @example(case=(Family.k_rowed(13), 4), order=12)  # order < k
+    @example(case=(Family.k_rowed(12), 4), order=11)
+    @example(case=(Family.k_rowed(8), 4), order=2)
+    @example(case=(Family.k_rowed(2), 4), order=1)
+    @example(case=(Family.k_rowed(13), 2), order=0)
+    @example(case=(Family.plane(), 8), order=0)
+    @example(case=(Family.plane(), 8), order=1)
+    def test_matches_exact_kernel(self, case, order):
+        family, m = case
+        want = Series(Mod(m), order, _exact_kernel(family, EXPANSION_ORDER)[: order + 1])
+        got = build_series(family, order, Mod(m))
+        assert got == want, (order, got.first_mismatch(want))
+
+    @pytest.mark.parametrize("case", EXPANSION_CASES, ids=expansion_case_id)
+    def test_every_case_at_full_order(self, case):
+        family, m = case
+        want = Series(Mod(m), EXPANSION_ORDER, _exact_kernel(family, EXPANSION_ORDER))
+        got = build_series(family, EXPANSION_ORDER, Mod(m))
+        assert got == want, got.first_mismatch(want)
+
+    def test_uses_no_other_builder(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("the expansion route must not use this builder")
+
+        for name in ("_lift", "_class_product", "binomial_product", "_over_power"):
+            monkeypatch.setattr(genfun, name, broken)
+        monkeypatch.setattr(Series, "inverse_of_unit", broken)
+        monkeypatch.setattr(Series, "mul", broken)
+        cases = [(f, m) for f, m in EXPANSION_CASES if f.kind != "over" and f.k != 1]
+        got = {(f, m): build_series(f, 300, Mod(m)) for f, m in cases}
+        monkeypatch.undo()
+        for (family, m), series in got.items():
+            assert series == kernel_series(family, 300, Mod(m)), (family, m)
+
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
+    def test_exponents_are_the_scalar_table(self, family):
+        got = family.exponents(60)
+        assert got.dtype == np.int64
+        assert got.tolist() == [family.exponent(n) for n in range(61)]
+        assert got[0] == 0
+        assert got[1:].tolist() == EXPONENTS[family.kind](np.arange(1, 61), family.k).tolist()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 14, 60])
+    @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
+    def test_parity_pattern(self, family, order):
+        # the pattern the table follows for large d, and the finite head
+        # where it departs: any pattern gives the same sums, a wrong one
+        # only a longer head
+        c0, c1, head = genfun._parity_pattern(family.exponents(order))
+        e = EXPONENTS[family.kind](np.arange(order + 1), family.k)
+        for d in range(1, order + 1):
+            assert e[d] % 2 == (c0 + c1 * (d % 2) + (d in head)) % 2, d
+        k = 1 if family.kind == "over" else family.k or order
+        if order < 2:  # one d or none: nothing to tell patterns apart
+            return
+        if order > k and k % 2:
+            assert (c0, c1, head) == (1, 0, list(range(2, k, 2)))
+        elif order > k:
+            assert (c0, c1, head) == (0, 0, list(range(1, k, 2)))
+        else:  # oddover, plane, ncolor and plk up to k: e_d = d (mod 2)
+            assert (c0, c1, head) == (0, 1, [])
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_rows_beyond_int64(self, m):
+        # k above the order changes nothing: plk is plane up to k rows
+        huge = Family.k_rowed(10**30)
+        assert huge.exponents(40).tolist() == list(range(41))
+        assert build_series(huge, 40, Mod(m)) == build_series(Family.plane(), 40, Mod(m))
+
+    def test_restricted_has_no_exponents(self):
+        with pytest.raises(ValueError, match="restricted"):
+            Family.restricted([1, 2]).exponents(5)
+
+
 class TestKernelFactors:
     """genfun's one factor (1 - q^s)^(k_s) per s, against the R-form pairs.
 
@@ -693,13 +803,13 @@ def _exact_kernel(family, order):
 def _order_cutoff(family, modulus):
     """The order from which ``build_series`` changes route over Z/modulus.
 
-    plane and ncolor take the class route once M^2 <= order, M = modulus/2;
-    a restricted family is tiled once P + D <= order + 1.  Both need a power
-    of two; None where no order cut-off applies below 10^4.
+    plane and ncolor take the class route once M^2 <= order, M = modulus/2,
+    from Z/16 on; a restricted family is tiled once P + D <= order + 1.  Both
+    need a power of two; None where no order cut-off applies below 10^4.
     """
     if modulus & (modulus - 1):
         return None
-    if family.kind in ("plane", "ncolor"):
+    if family.kind in ("plane", "ncolor") and modulus >= 16:
         cutoff = (modulus // 2) ** 2
         return cutoff if cutoff + 2 <= PLANE_ORDER else None
     if family.kind == "restricted":
@@ -730,8 +840,8 @@ class TestRouteCutoffs:
     )
     @example(family=Family.plane(), modulus=64, offset=-1, free=0)
     @example(family=Family.plane(), modulus=64, offset=0, free=0)
-    @example(family=Family.ncolor(), modulus=4, offset=-1, free=0)
-    @example(family=Family.ncolor(), modulus=4, offset=0, free=0)
+    @example(family=Family.ncolor(), modulus=16, offset=-1, free=0)
+    @example(family=Family.ncolor(), modulus=16, offset=0, free=0)
     @example(family=Family.restricted([1, 2, 2, 3, 3]), modulus=64, offset=-1, free=0)
     @example(family=Family.restricted([1, 2, 2, 3, 3]), modulus=64, offset=0, free=0)
     @example(family=Family.plane(), modulus=3037000500, offset=0, free=FREE_ORDER)
