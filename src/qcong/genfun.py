@@ -2,7 +2,7 @@
 
 Every non-restricted family is prod_n R(q^n)^(e_n), R(x) = (1+x)/(1-x), with
 e_n from ``Family.exponent``.  As R(x)^e = (1-x^2)^e / (1-x)^(2e),
-``_family_factors`` gives it as prod_s (1-q^s)^(k_s) with
+``_r_form_factors`` gives it as prod_s (1-q^s)^(k_s) with
 k_s = e_(s/2)*[s even] - 2*e_s; restricted is prod_a 1/(1-q^a) over its
 parts.  The binomial kernel truncates either product at factor index
 s = order, exact because factor s only contributes from degree s on, and
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .series import EXACT, Ring, Series, binomial_product, lazy_import
@@ -156,14 +157,17 @@ class Family:
         return hash(self.token)
 
 
+def _r_form_factors(exponent, top: int):
+    """Nonzero (s, k_s), s <= top: prod_n R(q^n)^exponent(n) = prod_s (1-q^s)^(k_s)."""
+    for s in range(1, top + 1):
+        if k := (s % 2 == 0 and exponent(s // 2)) - 2 * exponent(s):
+            yield s, k
+
+
 def _family_factors(family: Family, order: int):
     if family.kind == "restricted":
-        for part in family.parts:
-            yield (-1, part, -1)
-        return
-    for s in range(1, order + 1):
-        if k := (s % 2 == 0 and family.exponent(s // 2)) - 2 * family.exponent(s):
-            yield (-1, s, k)
+        return ((part, -1) for part in family.parts)
+    return _r_form_factors(family.exponent, order)
 
 
 def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
@@ -184,8 +188,8 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     restricted over Z/2^r is tiled from one checked Kwong period that fits
     the order (``_restricted_by_period``).  The rest goes through the kernel.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    if not 0 <= order <= sys.maxsize // 8:  # int64 words, addressable in bytes
+        raise ValueError(f"order must be between 0 and {sys.maxsize // 8}, got {order}")
     half = _two_power_half(ring)  # 2^(r-1) over Z/2^r, else None
     if family.kind == "over" or family.k == 1 and not ring.exact:  # plk1 is over
         if half is not None and half <= 4:  # above Z/8 Newton is faster
@@ -199,10 +203,10 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         return phi_series(+1, order, ring).mul(over_q2.inflate(2, order))
     if family.kind == "plk":
         k = family.k
-        # R(q^i)^(e_i - k), the exponent balanced mod M with ties going positive
-        corrections = [(sign, i, sign * f) for i in range(1, min(k, order + 1))
-                       if (f := -_balanced(k - family.exponent(i), half))
-                       for sign in (-1, +1)]
+        # R(q^i)^(e_i - k), the exponent balanced mod M with ties going
+        # positive; it is 0 from i = k on, so no factor lies beyond 2k
+        corrections = _r_form_factors(
+            lambda i: -_balanced(k - family.exponent(i), half), min(2 * k, order))
         return binomial_product(ring, order, corrections,
                                 _over_power(_balanced(k, half), order, ring))
     if family.kind in ("plane", "ncolor"):
@@ -361,7 +365,7 @@ def _log_derivative_exact(family: Family, order: int) -> Series:
     big-integer products in C-level loops, and no binomial passes.
     """
     c = [0] * (order + 1)
-    for _, s, k in _family_factors(family, order):
+    for s, k in _family_factors(family, order):
         for j in range(s, order + 1, s):
             c[j] -= s * k
     a = [1] + [0] * order

@@ -466,15 +466,13 @@ def _fft_size(n: int) -> int:
 
 def binomial_product(ring: Ring, order: int, factors,
                      start: Series | None = None) -> Series:
-    """``start`` (default 1) times the binomial factors (1 + sign*q^n)^e.
+    """``start`` (default 1) times the binomial factors (1 - q^s)^k.
 
-    ``factors`` yields (sign, n, e) triples, sign +/-1, n >= 1 and any
-    integer e, applied in place to one copy of ``start``, a series over
-    ``ring`` at ``order``.  The kernel's one entry point: it builds the
-    restricted families, the modular plane families off the class route
-    and plk's finite correction, and is the reference for every faster route.
-    A factor (1 + q^n)^e with e < 0 is applied as (1 - q^n)^(-e) and then
-    (1 - q^(2n))^e, so every pass multiplies or divides by some 1 - q^s.
+    ``factors`` yields (s, k) pairs, s >= 1 and any integer k, applied in
+    place to one copy of ``start``, a series over ``ring`` at ``order``.
+    The kernel's one entry point: it builds the restricted families, the
+    modular plane families off the class route and plk's finite
+    correction, and is the reference for every faster route.
     """
     if start is None:
         start = Series.one(ring, order)
@@ -483,35 +481,32 @@ def binomial_product(ring: Ring, order: int, factors,
     m = ring.modulus
     buf = list(start._c) if m is None else start._c.copy()
     apply = _apply_exact if m is None else functools.partial(_apply_mod, m=m)
-    for sign, n, e in factors:
-        if sign > 0 > e:  # 1/(1+x)^k = (1-x)^k / (1-x^2)^k
-            apply(buf, -1, n, -e)
-            sign, n = -1, 2 * n
-        apply(buf, sign, n, e)
+    for s, k in factors:
+        apply(buf, s, k)
     return Series._wrap(ring, tuple(buf) if m is None else buf)
 
 
-def _binomial_terms(sign: int, e: int, t_max: int) -> list[int]:
-    """Exact coefficients c_t of (1 + sign*q^n)^e at q^(n*t), t = 0..t_max."""
+def _binomial_terms(e: int, t_max: int) -> list[int]:
+    """Exact coefficients c_t of (1 - q^n)^e at q^(n*t), t = 0..t_max."""
     out = [1]
     for t in range(1, t_max + 1):
-        # sign^t * C(e, t); the division is exact for negative e too
-        out.append(out[-1] * sign * (e - t + 1) // t)
+        # (-1)^t * C(e, t); the division is exact for negative e too
+        out.append(-out[-1] * (e - t + 1) // t)
     return out
 
 
-def _apply_exact(buf: list, sign: int, n: int, e: int) -> None:
-    """In-place multiply of an exact coefficient buffer by (1 + sign*q^n)^e."""
+def _apply_exact(buf: list, n: int, e: int) -> None:
+    """In-place multiply of an exact coefficient buffer by (1 - q^n)^e."""
     top = len(buf) - 1
     t_cap = top // n
     if e == 0 or t_cap == 0:
         return
-    if sign < 0 and 0 < e <= t_cap:
+    if 0 < e <= t_cap:
         for _ in range(e):
             # the right-hand slices are copies, so every read is pre-pass
             buf[n:] = map(operator.sub, buf[n:], buf[:-n])
         return
-    if sign < 0 and 0 < -e <= t_cap:
+    if 0 < -e <= t_cap:
         for _ in range(-e):
             # b[j] = a[j] + b[j-n]: running sums down the n residue lanes
             # mod n, or row by row down the t_cap rows of n, whichever is fewer
@@ -523,7 +518,7 @@ def _apply_exact(buf: list, sign: int, n: int, e: int) -> None:
                     buf[j : j + n] = map(operator.add, buf[j : j + n], buf[j - n : j])
         return
     t_max = min(e, t_cap) if e > 0 else t_cap
-    terms = _binomial_terms(sign, e, t_max)
+    terms = _binomial_terms(e, t_max)
     snap = buf[:]
     for t in range(1, t_max + 1):
         ct = terms[t]
@@ -532,15 +527,15 @@ def _apply_exact(buf: list, sign: int, n: int, e: int) -> None:
             buf[j] += ct * snap[j - base]
 
 
-def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
-    """In-place multiply of a reduced int64 buffer by (1 + sign*q^n)^e mod m."""
+def _apply_mod(arr: np.ndarray, n: int, e: int, m: int) -> None:
+    """In-place multiply of a reduced int64 buffer by (1 - q^n)^e mod m."""
     top = arr.shape[0] - 1
     t_cap = top // n
     if e == 0 or t_cap == 0:
         return
     # |e| division passes against t_cap binomial terms, each a sweep of half
     # the buffer on average; measured break-evens t_cap/|e| ran from 8 to 27
-    if sign < 0 and e < 0 and -16 * e <= t_cap and m * (t_cap + 2) < _I64_CAP:
+    if e < 0 and -16 * e <= t_cap and m * (t_cap + 2) < _I64_CAP:
         for _ in range(-e):
             _divide_one_minus(arr, n)
             _reduce(arr, m, out=arr)
@@ -548,11 +543,11 @@ def _apply_mod(arr: np.ndarray, sign: int, n: int, e: int, m: int) -> None:
     if (m - 1) * (m - 1) + m >= _I64_CAP:
         # enormous modulus: do it with Python integers
         buf = [int(x) for x in arr]
-        _apply_exact(buf, sign, n, e)
+        _apply_exact(buf, n, e)
         arr[:] = np.fromiter((c % m for c in buf), dtype=np.int64, count=top + 1)
         return
     t_max = t_cap if e < 0 else min(e, t_cap)
-    terms = _binomial_terms(sign, e, t_max)
+    terms = _binomial_terms(e, t_max)
     # a term adds at most (m-1)^2 in absolute value; reduce after each one
     # only when the sum of all of them could leave int64
     each = (m - 1) * (m - 1) * (t_max + 2) >= _I64_CAP

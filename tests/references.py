@@ -19,6 +19,11 @@ from qcong.genfun import Family, phi_series
 from qcong.series import EXACT, Mod, Ring, Series, binomial_product
 
 
+def one_plus(n, e):
+    """(1 + q^n)^e as kernel factors: (1 - q^(2n))^e times (1 - q^n)^(-e)."""
+    return [(2 * n, e), (n, -e)]
+
+
 def r_form_factors(family, order):
     """The family's kernel factors, written out apart from ``genfun``.
 
@@ -28,10 +33,10 @@ def r_form_factors(family, order):
     one (1 - q^s)^(k_s) per s instead.
     """
     if family.kind == "restricted":
-        return [(-1, part, -1) for part in family.parts]
+        return [(part, -1) for part in family.parts]
     e = EXPONENTS[family.kind](np.arange(order + 1), family.k).tolist()
-    return [(sign, n, sign * e[n]) for n in range(1, order + 1) if e[n]
-            for sign in (+1, -1)]
+    return [factor for n in range(1, order + 1) if e[n]
+            for factor in (*one_plus(n, e[n]), (n, -e[n]))]
 
 
 def kernel_series(family, order, ring):
@@ -66,9 +71,9 @@ def jacobi_specializations(order: int):
         def factors():
             for n in range(1, order + 1):
                 if 2 * n <= order:
-                    yield (-1, 2 * n, 1)
+                    yield (2 * n, 1)
                 if 2 * n - 1 <= order:
-                    yield (sign, 2 * n - 1, 2)
+                    yield from one_plus(2 * n - 1, 2) if sign > 0 else [(2 * n - 1, 2)]
 
         return binomial_product(EXACT, order, factors())
 
@@ -191,6 +196,27 @@ EXPONENTS = {
 }
 
 
+def _parity_square(bits):
+    """(sum_N bits[N] q^N)^2 truncated, exactly, for a 0/1 int64 array.
+
+    When the ones are few, O(sqrt N) as for over, oddover, plane and
+    ncolor, their pair sums are counted; otherwise one float FFT square,
+    whose coefficients are at most order + 1, rounded with a check that
+    no value used lies 1/4 or more from an integer.
+    """
+    order = len(bits) - 1
+    ones = np.flatnonzero(bits)
+    if len(ones) <= 2 * math.isqrt(order + 1):
+        sums = (ones[:, None] + ones[None, :]).ravel()
+        return np.bincount(sums[sums <= order], minlength=order + 1)
+    size = 1 << (2 * order + 1).bit_length()
+    spectrum = np.fft.rfft(bits.astype(np.float64), size)
+    square = np.fft.irfft(spectrum * spectrum, size)[: order + 1]
+    rounded = np.rint(square)
+    assert np.abs(square - rounded).max() < 0.25, "FFT square rounding"
+    return rounded.astype(np.int64)
+
+
 def closed_form(family: Family, order: int, modulus: int) -> Series:
     """A non-restricted family modulo 4 or 8 from divisor sums alone.
 
@@ -201,9 +227,7 @@ def closed_form(family: Family, order: int, modulus: int) -> Series:
     F = 1 + 2S (mod 4) and F = 1 + 2S + 2S^2 - 2T (mod 8), where
     S = sum_n e_n*L(q^n) has coefficients s(N) = sum_{d|N} e_d and
     T = sum_n e_n*L(q^n)^2 has t(N) = sum_{d|N} e_d*(N/d - 1).  S^2 is
-    needed mod 4, where it equals (S mod 2)^2: one square of a Python
-    integer holding the parities in 32-bit slots, since no coefficient of
-    that square exceeds order + 1.
+    needed mod 4, where it equals (S mod 2)^2 (``_parity_square``).
     """
     if modulus not in (4, 8):
         raise ValueError(f"closed forms are mod 4 and 8, not {modulus}")
@@ -218,9 +242,6 @@ def closed_form(family: Family, order: int, modulus: int) -> Series:
     s = divisor_sum(e[d])
     out = 2 * s
     if modulus == 8:
-        odd = (s % 2).astype("<u4").tobytes()
-        square = (int.from_bytes(odd, "little") ** 2).to_bytes(2 * len(odd), "little")
-        s2 = np.frombuffer(square, "<u4")[: order + 1].astype(np.int64)
-        out += 2 * s2 - 2 * divisor_sum(e[d] * (j - 1))
+        out += 2 * _parity_square(s % 2) - 2 * divisor_sum(e[d] * (j - 1))
     out[0] = 1
     return Series(Mod(modulus), order, out % modulus)

@@ -514,35 +514,46 @@ class TestMemoryError:
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         from qcong import genfun
 
-        def exhausted(*args):
-            raise MemoryError
+        for error in (MemoryError, OverflowError):
+            def exhausted(*args, error=error):
+                raise error
 
-        monkeypatch.setattr(genfun, "build_series", exhausted)
-        code, out, err = run(capsys, "expand", "over", "--order", "100000000000")
-        assert code == 1 and out == ""
-        assert err == "error: out of memory\n"
+            monkeypatch.setattr(genfun, "build_series", exhausted)
+            code, out, err = run(capsys, "expand", "over", "--order", "100000000000")
+            assert code == 1 and out == ""
+            assert err == "error: out of memory\n"
 
-    @pytest.mark.parametrize("argv", [
-        ["expand", "over", "--order", str(10**30)],
-        ["expand", "plane", "--order", str(10**30)],
-        ["expand", "plk", "--k", "3", "--order", str(10**30)],
-        ["expand", "restricted", "--parts", "1,2", "--order", str(10**30)],
-        ["expand", "restricted", "--parts", "1,2", "--mod", "8", "--order", str(10**30)],
-        ["period", "--parts", "1,2", "--prime", "2", "--power", "3", "--empirical",
-         "--guard", str(10**30)],
-        ["verify", "--claim", json.dumps({"family": "restricted:1,2", "modulus": 4,
-                                          "ap": {"l": 10**30},
-                                          "kind": {"residue": 0}})],
+    @pytest.mark.parametrize("argv,order", [
+        (["expand", "over", "--order", str(10**30)], 10**30),
+        (["expand", "plane", "--order", str(10**30)], 10**30),
+        (["expand", "plk", "--k", "3", "--order", str(10**30)], 10**30),
+        (["expand", "restricted", "--parts", "1,2", "--order", str(10**30)], 10**30),
+        (["expand", "restricted", "--parts", "1,2", "--mod", "8", "--order", str(10**30)],
+         10**30),
+        (["period", "--parts", "1,2", "--prime", "2", "--power", "3", "--empirical",
+          "--guard", str(10**30)], None),
+        (["verify", "--claim", json.dumps({"family": "restricted:1,2", "modulus": 4,
+                                           "ap": {"l": 10**30},
+                                           "kind": {"residue": 0}})], None),
+        (["expand", "plane", "--mod", "4", "--order", str(10**30)], 10**30),
+        (["expand", "plane", "--mod", "2", "--order", str(10**30)], 10**30),
+        (["expand", "over", "--mod", "8", "--order", str(10**30)], 10**30),
+        (["density", "plane", "--mod", "4", "--bound", str(10**30)], 10**30),
+        (["expand", "over", "--order", str(sys.maxsize // 8 + 1)], sys.maxsize // 8 + 1),
     ], ids=["over", "plane", "plk", "restricted", "restricted-mod8", "period-guard",
-            "verify-claim-l"])
-    def test_oversized_size_is_one_error_line(self, argv):
-        # these sizes overflow a machine integer before any memory is asked for
+            "verify-claim-l", "plane-mod4", "plane-mod2", "over-mod8", "density",
+            "one-above-the-limit"])
+    def test_oversized_size_is_one_error_line(self, argv, order):
+        # these sizes are refused, on every route, before any memory is asked for
         proc = subprocess.run([sys.executable, "-m", "qcong.cli", *argv],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
-        # the size that overflowed need not be --order, --bound or --n
-        assert proc.stderr == "error: out of memory\n"
+        # the order refused need not be --order: a guard or an l sets it (None)
+        got = r"\d+" if order is None else str(order)
+        limit = sys.maxsize // 8
+        assert re.fullmatch(rf"error: order must be between 0 and {limit}, got {got}\n",
+                            proc.stderr)
 
 
 class TestScanAndDensity:

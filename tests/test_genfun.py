@@ -25,6 +25,7 @@ from references import (
     closed_form,
     jacobi_specializations,
     kernel_series,
+    one_plus,
     phi_factorizations,
     phi_product_approx,
     r_form_factors,
@@ -61,10 +62,9 @@ class TestMultiset:
 
     def test_one_factor_per_part_with_repeats(self):
         fam = Family.restricted([3, 1, 3])
-        assert list(genfun._family_factors(fam, 10)) == [
-            (-1, 1, -1), (-1, 3, -1), (-1, 3, -1)]
+        assert list(genfun._family_factors(fam, 10)) == [(1, -1), (3, -1), (3, -1)]
         for ring in (EXACT, Mod(8)):
-            merged = binomial_product(ring, 40, [(-1, 1, -1), (-1, 3, -2)])
+            merged = binomial_product(ring, 40, [(1, -1), (3, -2)])
             assert build_series(fam, 40, ring).tolist() == merged.tolist()
 
 
@@ -486,7 +486,7 @@ class TestClassRoute:
     def test_wrapped_class_product_is_exact(self):
         # the true coefficients overflow every word many times over
         order = 1200
-        factors = [(s, n, s) for n in range(3, order + 1, 4) for s in (+1, -1)]
+        factors = [f for n in range(3, order + 1, 4) for f in (*one_plus(n, 1), (n, -1))]
         for m in (2**8, 2**16, 2**32):
             want = binomial_product(Mod(m), order, factors)
             got = Series(Mod(m), order, genfun._class_product(3, 4, order, m))
@@ -783,9 +783,9 @@ class TestKernelFactors:
     @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
     def test_one_factor_per_part_size(self, family):
         factors = list(genfun._family_factors(family, 60))
-        sizes = [s for _, s, _ in factors]
+        sizes = [s for s, _ in factors]
         assert sizes == sorted(set(sizes))
-        assert all(sign == -1 and k for sign, _, k in factors)
+        assert all(k for _, k in factors)
         assert binomial_product(EXACT, 60, factors) == kernel_series(family, 60, EXACT)
 
 
@@ -800,32 +800,38 @@ def _exact_kernel(family, order):
     return kernel_series(family, order, EXACT).tolist()
 
 
-def _order_cutoff(family, modulus):
-    """The order from which ``build_series`` changes route over Z/modulus.
+def _order_cutoffs(family, modulus):
+    """The orders at which ``build_series`` changes route over Z/modulus.
 
-    plane and ncolor take the class route once M^2 <= order, M = modulus/2,
-    from Z/16 on; a restricted family is tiled once P + D <= order + 1.  Both
-    need a power of two; None where no order cut-off applies below 10^4.
+    plk's correction list grows up to order k - 1, the last R(q^i), and
+    ends at 2k - 2, its last factor 1 - q^(2i).  plane and ncolor take the
+    class route once M^2 <= order, M = modulus/2, from Z/16 on; a
+    restricted family is tiled once P + D <= order + 1.  Both need a power
+    of two; empty where no order cut-off applies below 10^4.
     """
+    if family.kind == "plk":
+        return [family.k - 1, 2 * family.k - 2]
     if modulus & (modulus - 1):
-        return None
+        return []
     if family.kind in ("plane", "ncolor") and modulus >= 16:
         cutoff = (modulus // 2) ** 2
-        return cutoff if cutoff + 2 <= PLANE_ORDER else None
+        return [cutoff] if cutoff + 2 <= PLANE_ORDER else []
     if family.kind == "restricted":
         period = kwong_period(family.parts, 2, modulus.bit_length() - 1).period
         cutoff = period + sum(family.parts) - 1
-        return cutoff if cutoff + 2 <= 10**4 else None
-    return None
+        return [cutoff] if cutoff + 2 <= 10**4 else []
+    return []
 
 
 class TestRouteCutoffs:
-    """Every family within 2 of each route cut-off, against the exact kernel.
+    """Every family within 2 of each route cut-off, and at a drawn order,
+    against the exact kernel.
 
     The moduli include both sides of over's M <= 4 and of the kernel's
     (m-1)^2 + m >= 2^63 (3037000500 and 3037000501), moduli with an odd
     factor and 2^32 and 2^61, whose class-route and tiling cut-offs lie far
-    beyond any order built here.
+    beyond any order built here.  The plk examples put an exponent on
+    ``_balanced``'s tie, k - e_i or k = M/2 (mod M).
     """
 
     @settings(max_examples=80, deadline=None)
@@ -846,17 +852,26 @@ class TestRouteCutoffs:
     @example(family=Family.restricted([1, 2, 2, 3, 3]), modulus=64, offset=0, free=0)
     @example(family=Family.plane(), modulus=3037000500, offset=0, free=FREE_ORDER)
     @example(family=Family.plane(), modulus=3037000501, offset=0, free=FREE_ORDER)
+    # k = 6 = M/2 (mod M = 4), and k - e_4 = 2
+    @example(family=Family.k_rowed(6), modulus=8, offset=0, free=0)
+    # k - e_i = 4 = M/2 (mod M = 8) at i = 1 and 9; and k = 12 = M/2 (mod 8)
+    @example(family=Family.k_rowed(13), modulus=16, offset=-2, free=0)
+    @example(family=Family.k_rowed(12), modulus=16, offset=2, free=0)
+    # k - e_5 = 8 = M/2 (mod M = 16)
+    @example(family=Family.k_rowed(13), modulus=32, offset=1, free=0)
+    @example(family=Family.k_rowed(13), modulus=3037000500, offset=0, free=FREE_ORDER)
+    @example(family=Family.k_rowed(13), modulus=3037000501, offset=0, free=FREE_ORDER)
     def test_matches_exact_kernel(self, family, modulus, offset, free):
-        cutoff = _order_cutoff(family, modulus)
-        order = free if cutoff is None else max(cutoff + offset, 0)
-        if family.kind == "restricted":
-            exact = _exact_kernel(family, order)
-        else:
-            top = PLANE_ORDER if family.kind in ("plane", "ncolor") else FREE_ORDER
-            exact = _exact_kernel(family, top)[: order + 1]
-        want = Series(Mod(modulus), order, exact)
-        got = build_series(family, order, Mod(modulus))
-        assert got == want, (order, got.first_mismatch(want))
+        cutoffs = _order_cutoffs(family, modulus)
+        for order in [*(max(c + offset, 0) for c in cutoffs), free]:
+            if family.kind == "restricted":
+                exact = _exact_kernel(family, order)
+            else:
+                top = PLANE_ORDER if family.kind in ("plane", "ncolor") else FREE_ORDER
+                exact = _exact_kernel(family, top)[: order + 1]
+            want = Series(Mod(modulus), order, exact)
+            got = build_series(family, order, Mod(modulus))
+            assert got == want, (order, got.first_mismatch(want))
 
 
 class TestPhi:
@@ -939,7 +954,7 @@ class TestTailProducts:
         order = 100
         acc = build_series(Family.overpartitions(), order)
         for n in range(1, order + 1):
-            tail = [(sign, i, sign) for i in range(n + 1, order + 1) for sign in (1, -1)]
+            tail = [f for i in range(n + 1, order + 1) for f in (*one_plus(i, 1), (i, -1))]
             acc = acc.mul(binomial_product(EXACT, order, tail))
         assert acc == build_series(Family.plane(), order)
 

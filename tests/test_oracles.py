@@ -227,7 +227,7 @@ class TestNColor:
         from qcong.series import EXACT, binomial_product
 
         series = binomial_product(
-            EXACT, 10, ((-1, n, -n) for n in range(1, 11))
+            EXACT, 10, ((n, -n) for n in range(1, 11))
         )
         for n in range(11):
             assert count_ncolor_partitions(n) == series[n]

@@ -15,7 +15,7 @@ from qcong.series import (
     binomial_product,
 )
 from qcong.genfun import phi_series
-from references import f_series
+from references import f_series, one_plus
 
 MODULI = [2, 4, 8, 12, 64]
 
@@ -395,9 +395,14 @@ class TestToList:
         assert got == [s[i] for i in range(300)]
 
 
+def signed_factor(sign, n, e):
+    """(1 + sign*q^n)^e as kernel factors."""
+    return one_plus(n, e) if sign > 0 else [(n, e)]
+
+
 def times_factor(s, sign, n, e):
     """s * (1 + sign*q^n)^e by the kernel, starting from s."""
-    return binomial_product(s.ring, s.order, [(sign, n, e)], s)
+    return binomial_product(s.ring, s.order, signed_factor(sign, n, e), s)
 
 
 @st.composite
@@ -405,8 +410,8 @@ def gate_boundary(draw):
     """(order, n, e) with order // (stride*n) within 2 of 16|e|, stride 1 or 2.
 
     16|e| <= order // n is the cut-off of the division passes by 1 - q^n,
-    and 16|e| <= order // (2n) that of the division by 1 - q^(2n) into
-    which 1/(1+q^n)^k is folded.
+    and 16|e| <= order // (2n) that of the division by 1 - q^(2n) in
+    1/(1+q^n)^k = (1-q^n)^k / (1-q^(2n))^k.
     """
     e = draw(st.integers(min_value=-8, max_value=8))
     stride = draw(st.sampled_from([1, 2]))
@@ -419,11 +424,11 @@ def gate_boundary(draw):
 
 class TestBinomialKernel:
     def test_geometric(self):
-        assert binomial_product(EXACT, 3, [(-1, 1, -1)]).tolist() == [1, 1, 1, 1]
+        assert binomial_product(EXACT, 3, [(1, -1)]).tolist() == [1, 1, 1, 1]
 
     def test_f_as_two_factors(self):
         one = Series.one(EXACT, 6)
-        built = binomial_product(EXACT, 6, [(1, 1, 1), (-1, 1, -1)], one)
+        built = binomial_product(EXACT, 6, [*one_plus(1, 1), (1, -1)], one)
         assert built == f_series(1, 6)
 
     def test_factor_beyond_order_is_identity(self):
@@ -434,7 +439,7 @@ class TestBinomialKernel:
         # the start must be over the ring at the order
         for start in (Series.one(EXACT, 5), Series.one(Mod(8), 4)):
             with pytest.raises(ValueError, match="start must be a series over Z"):
-                binomial_product(EXACT, 4, [(1, 1, 1)], start)
+                binomial_product(EXACT, 4, [(1, 1)], start)
         with pytest.raises(ValueError, match="over Z/4 at order 4"):
             binomial_product(Mod(4), 4, [], Series.one(Mod(8), 4))
 
@@ -473,7 +478,7 @@ class TestBinomialKernel:
     # 16|e| against order // n: at 16 the passes, at 15 the term loop
     @example(case=(160, 10, -1), sign=-1, modulus=7, seed=1)
     @example(case=(159, 10, -1), sign=-1, modulus=7, seed=1)
-    # 16|e| against order // (2n) for the folded 1/(1+q^n)^k
+    # 16|e| against order // (2n) for the 1 - q^(2n) of 1/(1+q^n)^k
     @example(case=(320, 10, -1), sign=1, modulus=12, seed=2)
     @example(case=(319, 10, -1), sign=1, modulus=12, seed=2)
     # |e| against order // (2n) over Z, where the passes need only |e| <= N/s
@@ -520,9 +525,9 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("modulus", [7, 12, 2**40])
     def test_large_part_divides_by_passes(self, monkeypatch, order, n, e, sign, modulus):
         # n above sqrt(order), yet 16*|e| <= order // n: passes, no expansion
-        # into order // n binomial terms.  1/(1+q^n)^k is folded into
-        # (1-q^n)^k, k terms, and a division at stride 2n, which its own
-        # order // (2n) gates
+        # into order // n binomial terms.  1/(1+q^n)^k is (1-q^n)^k, k
+        # terms, and a division at stride 2n, which its own order // (2n)
+        # gates
         ring = Mod(modulus)
         s = Series(ring, order, random_coeffs(n, modulus, order + 1))
         dense = [1] + [0] * order
@@ -530,9 +535,9 @@ class TestBinomialKernel:
         want = s.mul(Series(ring, order, dense).pow(-e).inverse_of_unit())
         terms = series_module._binomial_terms
 
-        def few_terms(term_sign, term_e, t_max):
+        def few_terms(term_e, t_max):
             assert t_max < order // n, "binomial terms used"
-            return terms(term_sign, term_e, t_max)
+            return terms(term_e, t_max)
 
         monkeypatch.setattr(series_module, "_binomial_terms", few_terms)
         assert times_factor(s, sign, n, e) == want
@@ -739,8 +744,9 @@ def headroom_factors():
     """Factors that reach every path of the kernel at HEADROOM_ORDER.
 
     Both signs with e = -3..3 at n = 1 (division passes), 7 (terms) and 31
-    (t_max = 1), and (+/-1, n, +/-n).  (+1, n, 1) has the coefficient 1 and
-    (-1, n, 1) the coefficient m - 1.
+    (t_max = 1), and (+/-1, n, +/-n), as (sign, n, e) for (1 + sign*q^n)^e.
+    At n = 31, (1 - q^n)^-1 has the coefficient 1 and (1 - q^n)^1 the
+    coefficient m - 1.
     """
     for sign in (1, -1):
         for n in (1, 7, 31):
@@ -769,7 +775,7 @@ class TestKernelHeadroom:
 
     @pytest.mark.parametrize("m", HEADROOM_MODULI)
     def test_binomial_product(self, m):
-        factors = list(headroom_factors())
+        factors = [f for factor in headroom_factors() for f in signed_factor(*factor)]
         want = binomial_product(EXACT, HEADROOM_ORDER, factors).reduce_mod(m)
         assert binomial_product(Mod(m), HEADROOM_ORDER, factors) == want
 
@@ -777,8 +783,8 @@ class TestKernelHeadroom:
 def test_binomial_product_overpartition_prefix():
     def factors():
         for n in range(1, 5):
-            yield (1, n, 1)
-            yield (-1, n, -1)
+            yield from one_plus(n, 1)
+            yield (n, -1)
 
     assert binomial_product(EXACT, 4, factors()).tolist() == [1, 2, 4, 8, 14]
 
