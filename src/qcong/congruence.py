@@ -460,9 +460,9 @@ def builtin_suite() -> list[Claim | SumClaim]:
     over = Family.overpartitions()
     oddover = Family.odd_overpartitions()
     claims: list[Claim | SumClaim] = []
-    # Mod 4 and 8 over is genfun._lift's phi(q)*over(q^2)^2, and oddover mod 8
-    # phi(q)*over(q^2), so those rows follow from the identities; oddover mod 4
-    # comes from genfun._expansion.  Kernel and Newton tests check both.
+    # Mod 4 and 8 over is genfun._over_power's theta closed form, and oddover
+    # mod 8 phi(q)*over(q^2), so those rows follow from the identities; oddover
+    # mod 4 comes from genfun._expansion.  Kernel and Newton tests check both.
 
     # square/twice-square residue split mod 4, and the family equivalence
     claims.append(

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .series import EXACT, Ring, Series, binomial_product, lazy_import
-from .series import _divide_one_minus, _sparse_power
+from .series import _I64_CAP, _divide_one_minus, _sparse_power
 
 np = lazy_import("numpy")
 
@@ -174,9 +174,8 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     """Truncated generating function of the family over the given ring.
 
     With e_n = ``family.exponent(n)`` and M = 2^(r-1) over Z/2^r: over, and
-    plk1 with the same exponents outside Z, is 1/phi(-q) by Newton
-    inversion, or over Z/2, Z/4 and Z/8 the ``_lift`` of over = phi(q)
-    (mod 4).  Every other
+    plk1 with the same exponents outside Z, is ``_over_power`` with k = 1:
+    over Z/2, Z/4 and Z/8 a theta closed form, else 1/phi(-q).  Every other
     non-restricted family over Z/2 and Z/4, and plane and ncolor over Z/8,
     is read off the divisor sums of its exponents (``_expansion``).
     Otherwise oddover is phi(q) * over(q^2); plk is
@@ -184,7 +183,8 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     ``_balanced`` modulo M since R(x)^M = 1 (mod 2M), and a negative power of
     over is one of phi(-q), so no plk modulo 8 needs an inverse.  plane
     and ncolor take the ``_lift`` of their residue classes when
-    ``_class_route`` allows it, and over Z ``_log_derivative_exact``.
+    ``_class_route`` allows it, and ``_log_derivative_exact`` over Z and,
+    reduced, modulo an m the kernel would run in Python integers.
     restricted over Z/2^r is tiled from one checked Kwong period that fits
     the order (``_restricted_by_period``).  The rest goes through the kernel.
     """
@@ -192,9 +192,7 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         raise ValueError(f"order must be between 0 and {sys.maxsize // 8}, got {order}")
     half = _two_power_half(ring)  # 2^(r-1) over Z/2^r, else None
     if family.kind == "over" or family.k == 1 and not ring.exact:  # plk1 is over
-        if half is not None and half <= 4:  # above Z/8 Newton is faster
-            return _lift(order, ring, half, lambda n, r, _: phi_series(+1, n, r))
-        return phi_series(-1, order, ring).inverse_of_unit()
+        return _over_power(1, order, ring)
     if half is not None and family.kind != "restricted" and (
             half <= 2 or half == 4 and family.kind in ("plane", "ncolor")):
         return _expansion(family, order, ring)
@@ -213,7 +211,10 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
         if ring.exact:
             return _log_derivative_exact(family, order)
         if _class_route(order, ring):
-            return _lift(order, ring, half, functools.partial(_class_odd_part, family))
+            return _lift(family, order, ring, half)
+        m = ring.modulus
+        if (m - 1) * (m - 1) + m >= _I64_CAP:  # the kernel would run in Python integers
+            return _log_derivative_exact(family, order).reduce_mod(m)
     if family.kind == "restricted" and half is not None:
         tiled = _restricted_by_period(family, order, ring)
         if tiled is not None:
@@ -414,22 +415,20 @@ def _class_route(order: int, ring: Ring) -> bool:
     return half * half <= order
 
 
-def _lift(order: int, ring: Ring, half: int, odd_part) -> Series:
-    """A series F over ``ring`` = Z/2^r, half = 2^(r-1), by a 2-adic lift.
+def _lift(family: Family, order: int, ring: Ring, half: int) -> Series:
+    """plane or ncolor over ``ring`` = Z/2^r, half = 2^(r-1), by a 2-adic lift.
 
-    F = odd_part(q) * F(q^2)^2 with F = 1 (mod 2): if A = A' (mod 2^s), s >= 1,
-    then A^2 = A'^2 (mod 2^(s+1)), so F(q^2) is needed only modulo half and
-    each level gains one bit.  ``odd_part(order, ring, half)`` is the odd
-    part modulo 2*half; F(q^2)^2 is squared at order // 2, then inflated.
-    Modulo 2 F is 1, and modulo 4 it is the odd part.  For over the odd part
-    is phi(q): Gauss's phi(q)*phi(-q) = phi(-q^2)^2 gives
-    over(q) = phi(q) * over(q^2)^2; for plane it is ``_class_odd_part``.
+    F = odd(q) * F(q^2)^2 with F = 1 (mod 2) and odd = ``_class_odd_part``:
+    if A = A' (mod 2^s), s >= 1, then A^2 = A'^2 (mod 2^(s+1)), so F(q^2)
+    is needed only modulo half and each level gains one bit.  F(q^2)^2 is
+    squared at order // 2, then inflated.  Modulo 2 F is 1, and modulo 4 it
+    is the odd part.
     """
     if half == 1:
         return Series.one(ring, order)
-    out = odd_part(order, ring, half)
+    out = _class_odd_part(family, order, ring, half)
     if half > 2:
-        low = _lift(order // 2, ring, half // 2, odd_part)
+        low = _lift(family, order // 2, ring, half // 2)
         out = out.mul(low.mul(low).inflate(2, order))
     return out
 
@@ -508,17 +507,31 @@ def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
 def _over_power(k: int, order: int, ring: Ring) -> Series:
     """over^k = phi(-q)^(-k) for any integer k; the series 1 for k = 0.
 
-    In a modular ring a positive k powers over as ``build_series`` makes
-    it (the 2-adic lift modulo 8, else the Newton inverse) and a
-    negative k powers phi(-q) itself, with no inverse.  Exact coefficients
-    come from ``_sparse_power`` over the O(sqrt N) nonzero terms of
-    phi(-q), O(N^1.5) in all.
+    Over Z/2, Z/4 and Z/8 it is a closed form: phi(-q) = 1 + 2X with
+    X = sum_{n>=1} (-1)^n q^(n^2), and X^2 = X(q^2) (mod 2), so
+    (1 + 2X)^p = 1 + 2pX + 2p(p-1)*X(q^2) (mod 8) for every integer p;
+    squares and twice squares never meet, so that is two index writes.  In
+    another modular ring a positive k powers the Newton inverse of phi(-q)
+    and a negative k powers phi(-q) itself, with no inverse.  Exact
+    coefficients come from ``_sparse_power`` over the O(sqrt N) nonzero
+    terms of phi(-q), O(N^1.5) in all.
     """
-    if not ring.exact:
-        if k > 0:
-            return build_series(Family.overpartitions(), order, ring).pow(k)
-        return phi_series(-1, order, ring).pow(-k)
-    return Series._wrap(EXACT, _sparse_power(phi_series(-1, order)._c, -k))
+    if ring.exact:
+        return Series._wrap(EXACT, _sparse_power(phi_series(-1, order)._c, -k))
+    m = ring.modulus
+    if m in (2, 4, 8):
+        p = -k % 4  # both coefficients depend only on p mod 4
+        out = np.zeros(order + 1, dtype=np.int64)
+        n = np.arange(1, math.isqrt(order) + 1)
+        out[n * n] = np.where(n & 1, -2 * p, 2 * p)
+        n = np.arange(1, math.isqrt(order // 2) + 1)
+        out[2 * n * n] = 2 * p * (p - 1)
+        out &= m - 1
+        out[0] = 1
+        return Series._wrap(ring, out)
+    if k > 0:
+        return phi_series(-1, order, ring).inverse_of_unit().pow(k)
+    return phi_series(-1, order, ring).pow(-k)
 
 
 def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcong import genfun, periodicity
+from qcong import series as series_module
 from qcong.congruence import (
     Claim,
     Equivalent,
@@ -342,9 +343,11 @@ LIFT_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions()] + [
 
 
 class TestTwoAdicLift:
-    """over over Z/2^r, r <= 3, lifted from over = phi(q) (mod 4).
+    """over over Z/2^r against the kernel and the Newton inverse.
 
-    Z/16 and Z/32 build over as the Newton inverse, like Z/64.
+    Over Z/2, Z/4 and Z/8 over is the theta closed form of
+    ``genfun._over_power``; Z/16 and Z/32 build it as the Newton inverse,
+    like Z/64.
     """
 
     @pytest.mark.parametrize("modulus", [2, 4, 8, 16, 32])
@@ -369,12 +372,12 @@ class TestTwoAdicLift:
             want = phi_product_approx(modulus.bit_length() - 1, order)
         assert got == want, got.first_mismatch(want)
 
-    @pytest.mark.parametrize("modulus,lifted", [(2, True), (4, True), (8, True),
+    @pytest.mark.parametrize("modulus,closed", [(2, True), (4, True), (8, True),
                                                 (16, False), (32, False), (64, False),
                                                 (12, False), (3, False)])
-    def test_route_rule(self, modulus, lifted, monkeypatch):
+    def test_route_rule(self, modulus, closed, monkeypatch):
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
-        if lifted:
+        if closed:
             assert build_series(Family.overpartitions(), 50, Mod(modulus)) == (
                 kernel_series(Family.overpartitions(), 50, Mod(modulus)))
         else:
@@ -389,11 +392,54 @@ class TestTwoAdicLift:
             calls.append(args)
             return original(*args)
 
-        # mod 8 is lifted over Z/2, Z/4, Z/8, with no Newton inverse
+        # mod 8 over is the closed form, with no Newton inverse and no
+        # second build
         monkeypatch.setattr(genfun, "build_series", counted)
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
         counted(Family.overpartitions(), 5000, Mod(8))
         assert len(calls) == 1
+
+
+def _near_squares():
+    """Orders 0, 1, 2 and c*n^2 - 1, c*n^2, c*n^2 + 1 for c = 1, 2."""
+    near = st.builds(lambda n, c, d: c * n * n + d,
+                     st.integers(1, 30), st.sampled_from([1, 2]), st.integers(-1, 1))
+    return st.one_of(st.sampled_from([0, 1, 2]), near)
+
+
+class TestOverClosedForm:
+    """over^k over Z/2, Z/4 and Z/8 as 1 + 2pX + 2p(p-1)*X(q^2), p = -k."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(k=st.integers(-20, 20), modulus=st.sampled_from([2, 4, 8]),
+           order=_near_squares())
+    @example(k=1, modulus=8, order=2 * 30 * 30 + 1)  # over itself
+    @example(k=-2, modulus=8, order=2 * 30 * 30)  # _balanced's tie in plk
+    @example(k=0, modulus=8, order=900)
+    @example(k=3, modulus=4, order=899)
+    def test_matches_sparse_power(self, k, modulus, order):
+        phi = phi_series(-1, order)._c
+        want = Series(Mod(modulus), order, series_module._sparse_power(phi, -k))
+        got = genfun._over_power(k, order, Mod(modulus))
+        assert got == want, got.first_mismatch(want)
+
+    def test_over_factor_takes_no_product(self, monkeypatch):
+        # over and plk1 mod 2, 4 and 8, and every plk mod 8, get their over
+        # factor with no series product, power or inverse
+        cases = [(f, m) for f in (Family.overpartitions(), Family.k_rowed(1))
+                 for m in (2, 4, 8)]
+        cases += [(Family.k_rowed(k), 8) for k in range(2, 14)]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("the over factor must not be a series product")
+
+        monkeypatch.setattr(series_module, "_mul_mod", broken)
+        monkeypatch.setattr(Series, "pow", broken)
+        monkeypatch.setattr(Series, "inverse_of_unit", broken)
+        got = {case: build_series(case[0], 600, Mod(case[1])) for case in cases}
+        monkeypatch.undo()
+        for (family, m), series in got.items():
+            assert series == kernel_series(family, 600, Mod(m)), (family, m)
 
 
 PLANE_FAMILIES = [Family.plane(), Family.ncolor()]
@@ -514,6 +560,36 @@ class TestExactPlane:
 
         monkeypatch.setattr(genfun, "binomial_product", broken)
         assert build_series(Family.plane(), 5).tolist() == [1, 2, 6, 16, 38, 88]
+
+
+WIDE_MODULI = [3037000500, 3037000501, 2**32, 2**40, 2**61, 2**61 + 1]
+
+
+class TestWideModuli:
+    """plane/ncolor modulo m with (m-1)^2 + m >= 2^63, from 3037000501 on.
+
+    There the kernel would apply every factor in Python integers, so they
+    take the exact recurrence reduced mod m; the modular kernel, in Python
+    integers, is the reference.  3037000500 is the last kernel modulus.
+    """
+
+    @pytest.mark.parametrize("modulus", WIDE_MODULI)
+    @pytest.mark.parametrize("family", PLANE_FAMILIES, ids=str)
+    def test_matches_modular_kernel(self, family, modulus):
+        ring = Mod(modulus)
+        want = kernel_series(family, 300, ring)
+        for order in (0, 1, 2, 17, 299, 300):
+            got = build_series(family, order, ring)
+            assert got == Series(ring, order, want._c[: order + 1]), order
+
+    @pytest.mark.parametrize("modulus", WIDE_MODULI)
+    def test_route_rule(self, modulus, monkeypatch):
+        calls = []
+        exact = genfun._log_derivative_exact
+        monkeypatch.setattr(genfun, "_log_derivative_exact",
+                            lambda *args: calls.append(args) or exact(*args))
+        build_series(Family.plane(), 40, Mod(modulus))
+        assert bool(calls) is ((modulus - 1) ** 2 + modulus >= 2**63)
 
 
 def _multisets(max_part, max_size):
