@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .series import EXACT, Ring, Series, binomial_product, lazy_import
-from .series import _I64_CAP, _divide_one_minus, _sparse_power
+from .series import _I64_CAP, _mul_mod, _sparse_power
 
 np = lazy_import("numpy")
 
@@ -176,15 +176,15 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     With e_n = ``family.exponent(n)`` and M = 2^(r-1) over Z/2^r: over, and
     plk1 with the same exponents outside Z, is ``_over_power`` with k = 1:
     over Z/2, Z/4 and Z/8 a theta closed form, else 1/phi(-q).  Every other
-    non-restricted family over Z/2 and Z/4, and plane and ncolor over Z/8,
-    is read off the divisor sums of its exponents (``_expansion``).
+    non-restricted family over Z/2 and Z/4, and plane and ncolor over Z/2^r
+    where ``_expansion_route`` allows it, is read off the power sums of its
+    exponents (``_expansion``).
     Otherwise oddover is phi(q) * over(q^2); plk is
     over^k * prod_{i<k} R(q^i)^(e_i - k), each exponent reduced by
     ``_balanced`` modulo M since R(x)^M = 1 (mod 2M), and a negative power of
     over is one of phi(-q), so no plk modulo 8 needs an inverse.  plane
-    and ncolor take the ``_lift`` of their residue classes when
-    ``_class_route`` allows it, and ``_log_derivative_exact`` over Z and,
-    reduced, modulo an m the kernel would run in Python integers.
+    and ncolor take ``_log_derivative_exact`` over Z and, reduced, modulo
+    an m the kernel would run in Python integers.
     restricted over Z/2^r is tiled from one checked Kwong period that fits
     the order (``_restricted_by_period``).  The rest goes through the kernel.
     """
@@ -193,8 +193,7 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     half = _two_power_half(ring)  # 2^(r-1) over Z/2^r, else None
     if family.kind == "over" or family.k == 1 and not ring.exact:  # plk1 is over
         return _over_power(1, order, ring)
-    if half is not None and family.kind != "restricted" and (
-            half <= 2 or half == 4 and family.kind in ("plane", "ncolor")):
+    if _expansion_route(family, order, ring):
         return _expansion(family, order, ring)
     if family.kind == "oddover":
         over_q2 = build_series(Family.overpartitions(), order // 2, ring)
@@ -210,8 +209,6 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     if family.kind in ("plane", "ncolor"):
         if ring.exact:
             return _log_derivative_exact(family, order)
-        if _class_route(order, ring):
-            return _lift(family, order, ring, half)
         m = ring.modulus
         if (m - 1) * (m - 1) + m >= _I64_CAP:  # the kernel would run in Python integers
             return _log_derivative_exact(family, order).reduce_mod(m)
@@ -222,16 +219,44 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
     return binomial_product(ring, order, _family_factors(family, order))
 
 
-def _expansion(family: Family, order: int, ring: Ring) -> Series:
-    """A non-restricted family over Z/2, Z/4 or Z/8 from divisor sums.
+def _expansion_route(family: Family, order: int, ring: Ring) -> bool:
+    """Whether ``build_series`` reads the family off its power sums.
 
-    R(x) = 1 + 2L(x), L(x) = x/(1-x), and (1+2L)^e = 1 + 2eL + 4*C(e,2)*L^2
-    (mod 8) for every integer e, so F = prod_n R(q^n)^(e_n) is
-    F = 1 + 2S (mod 4) and F = 1 + 2S + 2S^2 - 2T (mod 8), where S has
-    coefficients s(N) = sum_{d|N} e_d and T has t(N) = sum_{d|N} e_d*(N/d - 1)
-    (arXiv 1706.03617).  Modulo 2, F is 1.  Modulo 8 only S mod 2 enters
-    S^2; it must have few ones (O(sqrt N) for plane and ncolor), since the
-    square is taken pair by pair (``_sparse_square``).
+    Every non-restricted family over Z/2 and Z/4 (over and plk1 return
+    before), and plane and ncolor over Z/2^r when r <= 3, or when r <= 16
+    and 4(r-1)(r-2) <= order.  From r = 4 on ``_expansion`` takes
+    (r-1)(r-2)/2 series products, while the kernel's cost does not grow
+    with r: the kernel measured faster below that order and at r = 24 and
+    31.  Other families keep their theta routes.
+    """
+    half = _two_power_half(ring)  # 2^(r-1)
+    if half is None or family.kind == "restricted":
+        return False
+    r = half.bit_length()
+    return r <= 2 or family.kind in ("plane", "ncolor") and (
+        r <= 3 or r <= 16 and 4 * (r - 1) * (r - 2) <= order)
+
+
+def _expansion(family: Family, order: int, ring: Ring) -> Series:
+    """A non-restricted family over Z/2^r from the power sums of its exponents.
+
+    R(x) = 1 + 2L(x), L(x) = x/(1-x), so F = prod_n R(q^n)^(e_n) is E(2)
+    for E(t) = prod_n (1 + t*L(q^n))^(e_n) = sum_j E_j*t^j, whose E_j are
+    the elementary symmetric functions of the L(q^n), n taken e_n times.
+    They are integer series, so modulo 2^r only j < r matter.  The power
+    sums p_i = sum_n e_n*L(q^n)^i have coefficients
+    p_i(N) = sum_{d|N} e_d*C(N/d - 1, i - 1) (``_power_sums``), and
+    Newton's identities give j*E_j = sum_{i=1..j} (-1)^(i-1)*E_(j-i)*p_i
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  Dividing
+    by j loses v_2(j) bits, so E_j is known modulo 2^(r - v_2(j!)); F needs
+    it modulo 2^(r-j), and v_2(j!) <= j - 1.
+
+    For r <= 3 that is F = 1 + 2S (mod 4) and F = 1 + 2S + 2S^2 - 2T
+    (mod 8), S = p_1 and T = p_2 (arXiv 1706.03617); modulo 2, F is 1.
+    Modulo 4 only S mod 2 enters (``_divisor_sum_parity``), and modulo 8
+    only S mod 2 enters S^2; it must have few ones (O(sqrt N) for plane and
+    ncolor), since the square is taken pair by pair (``_sparse_square``).
+    From r = 4 on each product E_(j-i)*p_i is one ``_mul_mod``.
     """
     m = ring.modulus
     if m == 2:
@@ -240,12 +265,29 @@ def _expansion(family: Family, order: int, ring: Ring) -> Series:
     if m == 4:
         out = _divisor_sum_parity(e)
         out <<= 1
-    else:
-        s, t = _divisor_sums(e)
+    elif m == 8:
+        s, t = _power_sums(e, 2, _wrap_words(m))
         odd = np.flatnonzero(s & 1)
         out = (s - t + _sparse_square(odd, order)).astype(np.int64)
         out <<= 1
-        out &= m - 1
+    else:
+        # p_1 .. p_(r-1) reduced mod m: _mul_mod sizes its FFT limbs by m
+        p = [x.astype(np.int64) & (m - 1)
+             for x in _power_sums(e, m.bit_length() - 2, _wrap_words(m))]
+        elementary = [None, p[0]]  # E_0 = 1 enters as p_j itself
+        out = p[0] << 1
+        for j in range(2, len(p) + 1):
+            elem_j = (-1) ** (j - 1) * p[j - 1]
+            for i in range(1, j):
+                elem_j += (-1) ** (i - 1) * _mul_mod(elementary[j - i], p[i - 1], m, order + 1)
+            elem_j &= m - 1
+            shift = (j & -j).bit_length() - 1  # v_2(j)
+            elem_j >>= shift
+            elem_j *= pow(j >> shift, -1, m)
+            elem_j &= m - 1
+            elementary.append(elem_j)
+            out += elem_j << j
+    out &= m - 1
     out[0] = 1
     return Series._wrap(ring, out)
 
@@ -290,33 +332,35 @@ def _parity_pattern(e: np.ndarray):
     return c0, c1, np.flatnonzero(head).tolist()
 
 
-def _divisor_sums(e: np.ndarray):
-    """s(N) = sum_{d|N} e_d and t(N) = sum_{d|N} e_d*(N/d - 1) mod 256.
+def _power_sums(e: np.ndarray, count: int, dtype) -> list:
+    """p_i(N) = sum_{d|N} e_d*C(N/d - 1, i - 1), i = 1..count, in ``dtype`` words.
 
-    One sieve over the pairs d*j = N with d <= j: the squares N = d*d add
-    e_d and e_d*(d-1) at once, and for each d <= sqrt(order) the N = d*j,
+    One sieve per i over the pairs d*j = N with d <= j: the squares N = d*d
+    add e_d*C(d-1, i-1), and for each d <= sqrt(order) the N = d*j,
     j = d+1..order//d, are one stride-d slice, where the pair adds
-    e_d + e_j to s and e_d*(j-1) + e_j*(d-1) to t.  uint8 words wrap
-    modulo 256, which 4 divides, so sums mod 4 stay exact.  O(N log N) word
-    operations in O(sqrt N) numpy calls.
+    e_d*C(j-1, i-1) + e_j*C(d-1, i-1).  The column C(n-1, i-1) is the sum
+    of column i-1 below n.  Unsigned w-bit words wrap modulo 2^w, so every
+    sum stays exact modulo each power of two up to 2^w (``_wrap_words``).
+    O(count * N log N) word operations in O(count * sqrt N) numpy calls.
     """
     order = len(e) - 1
-    w = e.astype(np.uint8)
-    less_one = np.arange(-1, order).astype(np.uint8)  # n - 1 at index n
-    s = np.zeros(order + 1, dtype=np.uint8)
-    t = np.zeros(order + 1, dtype=np.uint8)
+    w = e.astype(dtype)
+    column = np.ones(order + 1, dtype=dtype)  # C(n-1, 0) for n >= 1
+    column[0] = 0
     roots = np.arange(1, math.isqrt(order) + 1)
-    s[roots * roots] = w[roots]
-    t[roots * roots] = w[roots] * less_one[roots]
-    for d in roots.tolist():
-        top = order // d + 1
-        ed, ej = w[d], w[d + 1 : top]
-        sv, tv = s[d * (d + 1) :: d], t[d * (d + 1) :: d]
-        np.add(sv, ej, out=sv)
-        np.add(sv, ed, out=sv)
-        np.add(tv, ej * less_one[d], out=tv)
-        np.add(tv, less_one[d + 1 : top] * ed, out=tv)
-    return s, t
+    sums = []
+    for i in range(count):
+        if i:
+            column[1:] = np.cumsum(column[:-1], dtype=dtype)
+        p = np.zeros(order + 1, dtype=dtype)
+        p[roots * roots] = w[roots] * column[roots]
+        for d in roots.tolist():
+            top = order // d + 1
+            pv = p[d * (d + 1) :: d]
+            np.add(pv, w[d + 1 : top] * column[d], out=pv)
+            np.add(pv, column[d + 1 : top] * w[d], out=pv)
+        sums.append(p)
+    return sums
 
 
 def _sparse_square(ones: np.ndarray, order: int) -> np.ndarray:
@@ -399,109 +443,17 @@ def _balanced(e: int, half: int | None) -> int:
     return (e + half // 2) % half - half // 2
 
 
-def _class_route(order: int, ring: Ring) -> bool:
-    """Whether the plane series over ``ring`` is built by residue classes.
-
-    Over Z/2^r with M = 2^(r-1) the class route does O(N^1.5 * sqrt(M))
-    word operations and O(M) series products; the kernel costs O(N^2 log N)
-    whatever M is.  Up to M = isqrt(N) the class route measured 1.2x (tiny
-    N) to over 100x faster, so it is taken there; larger M, moduli with an
-    odd factor and the exact ring stay on the kernel.  ``build_series``
-    asks only from Z/16 on (M >= 8): Z/2, Z/4 and Z/8 take ``_expansion``.
-    """
-    half = _two_power_half(ring)
-    if half is None:
-        return False
-    return half * half <= order
-
-
-def _lift(family: Family, order: int, ring: Ring, half: int) -> Series:
-    """plane or ncolor over ``ring`` = Z/2^r, half = 2^(r-1), by a 2-adic lift.
-
-    F = odd(q) * F(q^2)^2 with F = 1 (mod 2) and odd = ``_class_odd_part``:
-    if A = A' (mod 2^s), s >= 1, then A^2 = A'^2 (mod 2^(s+1)), so F(q^2)
-    is needed only modulo half and each level gains one bit.  F(q^2)^2 is
-    squared at order // 2, then inflated.  Modulo 2 F is 1, and modulo 4 it
-    is the odd part.
-    """
-    if half == 1:
-        return Series.one(ring, order)
-    out = _class_odd_part(family, order, ring, half)
-    if half > 2:
-        low = _lift(family, order // 2, ring, half // 2)
-        out = out.mul(low.mul(low).inflate(2, order))
-    return out
-
-
-def _class_odd_part(family: Family, order: int, ring: Ring, half: int) -> Series:
-    """The odd part prod_{n odd} R(q^n)^(e_n) of the family, mod 2*half.
-
-    The family must meet e_2n = 2*e_n, so that it is the odd part times
-    F(q^2)^2 as ``_lift`` needs, and e_n mod half must depend only on
-    n mod half; of the families only plane and ncolor do.  Since
-    R(x)^half = 1 (mod 2*half), the odd part is then prod_{j odd} C_j^(e_j
-    mod half) over the classes C_j = prod_{n = j (mod half)} R(q^n).
-    """
-    m = ring.modulus
-    out = run = None
-    # Horner over t = half-1 .. 1: C_j enters ``run`` at t = e_j mod half and
-    # ``out`` t times; its half^2/2 exponent reads cost about one mul
-    for t in range(half - 1, 0, -1):
-        for j in range(1, half, 2):
-            if family.exponent(j) % half == t:
-                c = Series(ring, order, _class_product(j, half, order, m))
-                run = c if run is None else run.mul(c)
-        out = run if out is None else out.mul(run)
-    return out
-
-
 def _wrap_words(m: int):
-    """The narrowest unsigned dtype whose wrapping sums are exact modulo m.
+    """uint8 or uint16, the narrower, when its wrapping sums are exact modulo m.
 
     Sums of w-bit words are exact modulo 2^w, so modulo every m dividing
-    2^w; the class passes then need neither reductions nor headroom.  Any
-    other modulus raises.
+    2^w; the power sums then need neither reductions nor headroom.  Any
+    other modulus raises; ``_expansion_route`` sends none here.
     """
-    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+    for dtype in (np.uint8, np.uint16):
         if (1 << (8 * np.dtype(dtype).itemsize)) % m == 0:
             return dtype
-    raise ValueError(f"no machine word wraps exactly modulo {m}")
-
-
-def _class_product(j: int, step: int, order: int, m: int) -> np.ndarray:
-    """prod_{n = j (mod step), n >= 1} (1+q^n)/(1-q^n) mod m, as int64 residues.
-
-    Parts up to S = isqrt(order * step) are applied one at a time: divide
-    by (1-q^n) with the kernel's ``_divide_one_minus`` pass, then multiply
-    by (1+q^n).  The parts a, a+step, ... above S
-    come from the recurrence on the number of parts k: partitions into k
-    parts of the progression satisfy D_k = q^a * D_(k-1) / (1-q^(step*k)),
-    and into k distinct parts the shift is a + step*(k-1).  Started from
-    D_0 = P, the product of the small parts, sum_k D_k is P times the
-    partitions into large parts; the distinct pass starts from that sum, so
-    no series product is needed.  Each D_k is kept divided by its lowest
-    power of q, and only its terms up to the order are computed.
-    Cost O(order * S / step + order^2 / S) word operations.
-    """
-    n1 = order + 1
-    buf = np.zeros(n1, dtype=_wrap_words(m))
-    buf[0] = 1
-    small = math.isqrt(order * step)
-    a = j
-    while a <= min(small, order):
-        _divide_one_minus(buf, a)
-        np.add(buf[a:], buf[: n1 - a], out=buf[a:])
-        a += step
-    for distinct in (False, True):
-        total = buf.copy()
-        offset, k = a, 1
-        while offset <= order:
-            _divide_one_minus(buf[: n1 - offset], step * k)
-            total[offset:] += buf[: n1 - offset]
-            offset += a + step * k if distinct else a
-            k += 1
-        buf = total
-    return buf.astype(np.int64)
+    raise ValueError(f"no uint8 or uint16 word wraps exactly modulo {m}")
 
 
 def _over_power(k: int, order: int, ring: Ring) -> Series:

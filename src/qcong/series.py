@@ -471,7 +471,7 @@ def binomial_product(ring: Ring, order: int, factors,
     ``factors`` yields (s, k) pairs, s >= 1 and any integer k, applied in
     place to one copy of ``start``, a series over ``ring`` at ``order``.
     The kernel's one entry point: it builds the restricted families, the
-    modular plane families off the class route and plk's finite
+    modular plane families off the power-sum route and plk's finite
     correction, and is the reference for every faster route.
     """
     if start is None:

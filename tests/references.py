@@ -7,7 +7,7 @@ finite theta product of the overpartition series, and the factor
 (1+q^n)/(1-q^n).  Also the shift-by-shift period scan that
 ``periodicity.empirical_period`` replaced, a restricted family whose Kwong
 period is too long to print, and the divisor-sum closed forms of the other
-families modulo 4 and 8.
+families modulo 4, 8 and 16.
 """
 
 import functools
@@ -200,25 +200,33 @@ def _parity_square(bits):
     """(sum_N bits[N] q^N)^2 truncated, exactly, for a 0/1 int64 array.
 
     When the ones are few, O(sqrt N) as for over, oddover, plane and
-    ncolor, their pair sums are counted; otherwise one float FFT square,
-    whose coefficients are at most order + 1, rounded with a check that
-    no value used lies 1/4 or more from an integer.
+    ncolor, their pair sums are counted; otherwise one ``_fft_product``.
     """
     order = len(bits) - 1
     ones = np.flatnonzero(bits)
     if len(ones) <= 2 * math.isqrt(order + 1):
         sums = (ones[:, None] + ones[None, :]).ravel()
         return np.bincount(sums[sums <= order], minlength=order + 1)
+    return _fft_product(bits, bits)
+
+
+def _fft_product(a, b):
+    """a*b truncated at len(a) - 1, exactly, for small nonnegative int64 arrays.
+
+    One float FFT product, rounded with a check that no value used lies
+    1/4 or more from an integer.
+    """
+    order = len(a) - 1
     size = 1 << (2 * order + 1).bit_length()
-    spectrum = np.fft.rfft(bits.astype(np.float64), size)
-    square = np.fft.irfft(spectrum * spectrum, size)[: order + 1]
-    rounded = np.rint(square)
-    assert np.abs(square - rounded).max() < 0.25, "FFT square rounding"
+    spectrum = np.fft.rfft(a.astype(np.float64), size) * np.fft.rfft(b.astype(np.float64), size)
+    product = np.fft.irfft(spectrum, size)[: order + 1]
+    rounded = np.rint(product)
+    assert np.abs(product - rounded).max() < 0.25, "FFT product rounding"
     return rounded.astype(np.int64)
 
 
 def closed_form(family: Family, order: int, modulus: int) -> Series:
-    """A non-restricted family modulo 4 or 8 from divisor sums alone.
+    """A non-restricted family modulo 4, 8 or 16 from divisor sums alone.
 
     Every such family is F = prod_n R(q^n)^(e_n) with
     R(x) = (1+x)/(1-x) = 1 + 2L(x), L(x) = x/(1-x), and e_n from
@@ -228,20 +236,39 @@ def closed_form(family: Family, order: int, modulus: int) -> Series:
     S = sum_n e_n*L(q^n) has coefficients s(N) = sum_{d|N} e_d and
     T = sum_n e_n*L(q^n)^2 has t(N) = sum_{d|N} e_d*(N/d - 1).  S^2 is
     needed mod 4, where it equals (S mod 2)^2 (``_parity_square``).
+    Modulo 16 see ``_closed_form_16``.
     """
-    if modulus not in (4, 8):
-        raise ValueError(f"closed forms are mod 4 and 8, not {modulus}")
+    if modulus not in (4, 8, 16):
+        raise ValueError(f"closed forms are mod 4, 8 and 16, not {modulus}")
     e = EXPONENTS[family.kind](np.arange(order + 1), family.k)
     d, j = _divisor_pairs(order)
 
     def divisor_sum(weights):
-        # float64 sums of integers far below 2^53 are exact
-        total = np.bincount(d * j, weights=weights, minlength=order + 1)
+        # weights reduced mod 16 keep the float64 sums far below 2^53, exact
+        total = np.bincount(d * j, weights=weights % 16, minlength=order + 1)
         return np.rint(total).astype(np.int64)
 
     s = divisor_sum(e[d])
-    out = 2 * s
-    if modulus == 8:
-        out += 2 * _parity_square(s % 2) - 2 * divisor_sum(e[d] * (j - 1))
+    if modulus == 4:
+        out = 2 * s
+    elif modulus == 8:
+        out = 2 * s + 2 * _parity_square(s % 2) - 2 * divisor_sum(e[d] * (j - 1))
+    else:
+        out = _closed_form_16(s, divisor_sum(e[d] * (j - 1)),
+                              divisor_sum(e[d] * ((j - 1) * (j - 2) // 2 % 16)))
     out[0] = 1
     return Series(Mod(modulus), order, out % modulus)
+
+
+def _closed_form_16(p1, p2, p3):
+    """F mod 16 from the power sums p_i(N) = sum_{d|N} e_d*C(N/d - 1, i - 1).
+
+    F = E(2) for E(t) = prod_n (1 + t*L(q^n))^(e_n) = sum_j E_j*t^j, so
+    F = 1 + 2*E_1 + 4*E_2 + 8*E_3 (mod 16), and Newton's identities give
+    E_1 = p_1, 2*E_2 = p_1^2 - p_2 and 3*E_3 = E_2*p_1 - E_1*p_2 + p_3.
+    E_2 is needed mod 4, so p_1^2 mod 8, one dense FFT square; E_3 mod 2
+    is p_1*(E_2 + p_2) + p_3, one FFT product of parities.
+    """
+    e2 = (_fft_product(p1 % 8, p1 % 8) - p2) % 8 // 2
+    e3 = _fft_product(p1 % 2, (e2 + p2) % 2) + p3
+    return 2 * p1 + 4 * e2 + 8 * e3

@@ -446,9 +446,11 @@ PLANE_FAMILIES = [Family.plane(), Family.ncolor()]
 
 
 class TestClassRoute:
-    """plane/ncolor over Z/2^r, r >= 4, by residue classes, against the kernel.
+    """plane/ncolor over Z/2^r, r >= 4, against the kernel.
 
-    Over Z/2, Z/4 and Z/8 plane and ncolor take the expansion route instead.
+    The name is kept from the residue-class route these once took; from
+    each r's cut-off 4(r-1)(r-2) on they take the power-sum expansion, and
+    below it the kernel.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -461,14 +463,16 @@ class TestClassRoute:
     @example(family=Family.plane(), bits=5, order=1500)
     @example(family=Family.ncolor(), bits=6, order=1024)
     @example(family=Family.plane(), bits=6, order=1023)
-    @example(family=Family.plane(), bits=4, order=1499)  # odd order, squared at 749
+    @example(family=Family.plane(), bits=4, order=1499)
     @example(family=Family.plane(), bits=5, order=1025)
-    @example(family=Family.ncolor(), bits=4, order=1023)  # odd at every level
-    # mod 16 on both sides of the cut-off half^2 <= order: kernel at 63, classes at 64
-    @example(family=Family.plane(), bits=4, order=63)
-    @example(family=Family.plane(), bits=4, order=64)
-    @example(family=Family.ncolor(), bits=4, order=63)
-    @example(family=Family.ncolor(), bits=4, order=64)
+    @example(family=Family.ncolor(), bits=4, order=1023)
+    # on both sides of the cut-off 4(r-1)(r-2) <= order: kernel, then expansion
+    @example(family=Family.plane(), bits=4, order=23)
+    @example(family=Family.plane(), bits=4, order=24)
+    @example(family=Family.ncolor(), bits=4, order=23)
+    @example(family=Family.ncolor(), bits=4, order=24)
+    @example(family=Family.plane(), bits=8, order=167)
+    @example(family=Family.ncolor(), bits=8, order=168)
     def test_matches_binomial_kernel(self, family, bits, order):
         ring = Mod(2**bits)
         got = build_series(family, order, ring)
@@ -478,17 +482,26 @@ class TestClassRoute:
     @pytest.mark.parametrize(
         "modulus,order,route",
         [
-            # mod 2 at order 0 is 1 by either route; the rule sends it to the kernel
-            (2, 0, False), (2, 5, True),
-            (4, 3, False), (4, 4, True),
-            (8, 15, False), (8, 16, True),
-            (256, 16383, False), (256, 16384, True),
+            # Z/2, Z/4 and Z/8 take the expansion at every order
+            (2, 0, True), (2, 5, True),
+            (4, 3, True), (4, 4, True),
+            (8, 15, True), (8, 16, True),
+            # then from 4(r-1)(r-2) on, up to r = 16
+            (16, 23, False), (16, 24, True),
+            (256, 16383, True), (256, 16384, True),
+            (1024, 287, False), (1024, 288, True),
+            (2**16, 839, False), (2**16, 840, True),
+            (2**17, 10**6, False),
             (12, 10**6, False), (2**40, 10**6, False), (None, 10**6, False),
         ],
     )
     def test_route_rule(self, modulus, order, route):
         ring = EXACT if modulus is None else Mod(modulus)
-        assert genfun._class_route(order, ring) is route
+        assert genfun._expansion_route(Family.plane(), order, ring) is route
+        assert genfun._expansion_route(Family.ncolor(), order, ring) is route
+        # other families take it over Z/2 and Z/4 alone
+        assert genfun._expansion_route(Family.k_rowed(5), order, ring) is (
+            modulus in (2, 4))
 
     @pytest.mark.parametrize("ring", [EXACT, Mod(12), Mod(2**40), Mod(2**61 + 1)], ids=repr)
     @pytest.mark.parametrize("family", PLANE_FAMILIES, ids=str)
@@ -499,7 +512,7 @@ class TestClassRoute:
     def test_independent_of_theta_builders_and_kernel(self, monkeypatch):
         # thm1.2-pl-eq-oddover-mod4 and cor3.2-pl-2n+1-eq-over-mod4 compare
         # plane with oddover and over: both sides must be built apart, by the
-        # expansion mod 4 and 8 and by the classes mod 16
+        # expansion mod 4, 8 and 16
         build = genfun.build_series
 
         def only_plane(family, order, ring=EXACT):
@@ -522,21 +535,25 @@ class TestClassRoute:
         assert genfun._wrap_words(2) is np.uint8
         assert genfun._wrap_words(2**8) is np.uint8
         assert genfun._wrap_words(2**9) is np.uint16
-        assert genfun._wrap_words(2**33) is np.uint64
-        for m in (12, 3, 2**61 + 1):
+        assert genfun._wrap_words(2**16) is np.uint16
+        for m in (12, 3, 2**17, 2**33, 2**61 + 1):
             with pytest.raises(ValueError, match="wraps exactly"):
                 genfun._wrap_words(m)
-        with pytest.raises(ValueError, match="wraps exactly"):
-            genfun._class_product(1, 2, 50, 12)
 
-    def test_wrapped_class_product_is_exact(self):
-        # the true coefficients overflow every word many times over
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_wrapped_power_sums_are_exact(self, dtype):
+        # p_i(N) = sum_{d|N} e_d*C(N/d - 1, i - 1), whose true values overflow
+        # every word many times over, against Python integers
         order = 1200
-        factors = [f for n in range(3, order + 1, 4) for f in (*one_plus(n, 1), (n, -1))]
-        for m in (2**8, 2**16, 2**32):
-            want = binomial_product(Mod(m), order, factors)
-            got = Series(Mod(m), order, genfun._class_product(3, 4, order, m))
-            assert got == want, got.first_mismatch(want)
+        bits = 8 * np.dtype(dtype).itemsize
+        got = genfun._power_sums(Family.plane().exponents(order), 6, dtype)
+        for i, p in enumerate(got, 1):
+            want = [0] * (order + 1)
+            for d in range(1, order + 1):
+                for k in range(1, order // d + 1):
+                    want[d * k] += d * math.comb(k - 1, i - 1)
+            assert p.dtype == dtype
+            assert p.tolist() == [w % 2**bits for w in want], i
 
 
 class TestExactPlane:
@@ -711,13 +728,14 @@ CLOSED_FORM_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions(),
 
 
 class TestClosedForms:
-    """Every non-restricted family mod 4 and 8 against its divisor-sum form.
+    """Every non-restricted family mod 4, 8 and 16 against its divisor-sum form.
 
     The closed forms need no theta series, lift, balanced exponent, Newton
-    inverse, class route or kernel, so they reach orders the kernel cannot.
+    inverse, series product of ``qcong`` or kernel, so they reach orders the
+    kernel cannot.
     """
 
-    @pytest.mark.parametrize("modulus", [4, 8])
+    @pytest.mark.parametrize("modulus", [4, 8, 16])
     @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
     def test_reference_matches_the_kernel(self, family, modulus):
         want = kernel_series(family, 200, Mod(modulus))
@@ -731,7 +749,7 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="restricted"):
             Family.restricted([1, 2]).exponent(1)
 
-    @pytest.mark.parametrize("modulus,order", [(4, 10**5), (8, 2 * 10**4)])
+    @pytest.mark.parametrize("modulus,order", [(4, 10**5), (8, 2 * 10**4), (16, 2 * 10**4)])
     @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
     def test_build_matches(self, family, modulus, order):
         got = build_series(family, order, Mod(modulus))
@@ -740,7 +758,7 @@ class TestClosedForms:
 
 
 EXPANSION_CASES = [(family, m) for family in CLOSED_FORM_FAMILIES for m in (2, 4)]
-EXPANSION_CASES += [(family, 8) for family in PLANE_FAMILIES]
+EXPANSION_CASES += [(family, 2**r) for family in PLANE_FAMILIES for r in range(3, 11)]
 EXPANSION_ORDER = 600
 
 
@@ -749,12 +767,13 @@ def expansion_case_id(case):
 
 
 class TestExpansionRoute:
-    """Every family but over mod 2 and 4, and plane/ncolor mod 8, by divisor sums.
+    """Every family but over mod 2 and 4, and plane/ncolor mod 2^r, by power sums.
 
     Checked against the binomial kernel over Z, reduced: that reference
     shares neither the expansion nor the exponent table with the route.
     over and plk1, the same series, keep the lift from phi(q) there and
-    are drawn here all the same.
+    are drawn here all the same, and so are plane and ncolor over Z/2^r,
+    r >= 4, below the order 4(r-1)(r-2) where they take the kernel.
     """
 
     @settings(max_examples=120, deadline=None)
@@ -774,6 +793,25 @@ class TestExpansionRoute:
     @example(case=(Family.k_rowed(13), 2), order=0)
     @example(case=(Family.plane(), 8), order=0)
     @example(case=(Family.plane(), 8), order=1)
+    @example(case=(Family.plane(), 16), order=576)  # N = 24^2
+    @example(case=(Family.ncolor(), 32), order=577)
+    @example(case=(Family.plane(), 1024), order=2 * 17**2 - 1)
+    @example(case=(Family.ncolor(), 64), order=2 * 17**2 + 1)
+    # each r's cut-off 4(r-1)(r-2), minus and plus 1
+    @example(case=(Family.plane(), 16), order=23)
+    @example(case=(Family.plane(), 16), order=25)
+    @example(case=(Family.ncolor(), 32), order=47)
+    @example(case=(Family.ncolor(), 32), order=49)
+    @example(case=(Family.plane(), 64), order=79)
+    @example(case=(Family.plane(), 64), order=81)
+    @example(case=(Family.ncolor(), 128), order=119)
+    @example(case=(Family.ncolor(), 128), order=121)
+    @example(case=(Family.plane(), 256), order=167)
+    @example(case=(Family.plane(), 256), order=169)
+    @example(case=(Family.ncolor(), 512), order=223)
+    @example(case=(Family.ncolor(), 512), order=225)
+    @example(case=(Family.plane(), 1024), order=287)
+    @example(case=(Family.plane(), 1024), order=289)
     def test_matches_exact_kernel(self, case, order):
         family, m = case
         want = Series(Mod(m), order, _exact_kernel(family, EXPANSION_ORDER)[: order + 1])
@@ -791,7 +829,7 @@ class TestExpansionRoute:
         def broken(*args, **kwargs):
             raise AssertionError("the expansion route must not use this builder")
 
-        for name in ("_lift", "_class_product", "binomial_product", "_over_power"):
+        for name in ("binomial_product", "_over_power"):
             monkeypatch.setattr(genfun, name, broken)
         monkeypatch.setattr(Series, "inverse_of_unit", broken)
         monkeypatch.setattr(Series, "mul", broken)
@@ -800,6 +838,25 @@ class TestExpansionRoute:
         monkeypatch.undo()
         for (family, m), series in got.items():
             assert series == kernel_series(family, 300, Mod(m)), (family, m)
+
+    @pytest.mark.parametrize("m", [16, 1024, 2**16])
+    def test_products_take_reduced_residues(self, m, monkeypatch):
+        # the power sums come in uint8 or uint16 words; _mul_mod sizes its
+        # FFT limbs by m, so unreduced words fail its rounding check at
+        # large orders (from about 3*10^5 mod 1024) and fall back to
+        # O(N^2) convolutions
+        products = []
+
+        def checked(a, b, modulus, n):
+            products.append(modulus)
+            assert modulus == m
+            assert 0 <= min(a.min(), b.min()) and max(a.max(), b.max()) < m
+            return series_module._mul_mod(a, b, modulus, n)
+
+        monkeypatch.setattr(genfun, "_mul_mod", checked)
+        build_series(Family.plane(), 900, Mod(m))
+        r = m.bit_length() - 1
+        assert len(products) == (r - 1) * (r - 2) // 2
 
     @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES, ids=str)
     def test_exponents_are_the_scalar_table(self, family):
@@ -868,7 +925,6 @@ class TestKernelFactors:
 CUTOFF_MODULI = sorted({*(2**r for r in range(1, 7)), *(3 * 2**r for r in range(5)),
                         3, 9, 27, 5, 7, 2**32, 2**61, 3037000500, 3037000501})
 FREE_ORDER = 300  # orders drawn where no order cut-off applies
-PLANE_ORDER = 34**2  # above every plane class-route cut-off drawn, M^2 <= 32^2
 
 
 @functools.lru_cache(maxsize=None)
@@ -881,17 +937,19 @@ def _order_cutoffs(family, modulus):
 
     plk's correction list grows up to order k - 1, the last R(q^i), and
     ends at 2k - 2, its last factor 1 - q^(2i).  plane and ncolor take the
-    class route once M^2 <= order, M = modulus/2, from Z/16 on; a
+    expansion once 4(r-1)(r-2) <= order over Z/2^r, 4 <= r <= 16; a
     restricted family is tiled once P + D <= order + 1.  Both need a power
-    of two; empty where no order cut-off applies below 10^4.
+    of two; empty where no order cut-off applies below FREE_ORDER (plane
+    and ncolor) or 10^4 (restricted).
     """
     if family.kind == "plk":
         return [family.k - 1, 2 * family.k - 2]
     if modulus & (modulus - 1):
         return []
-    if family.kind in ("plane", "ncolor") and modulus >= 16:
-        cutoff = (modulus // 2) ** 2
-        return [cutoff] if cutoff + 2 <= PLANE_ORDER else []
+    if family.kind in ("plane", "ncolor") and 16 <= modulus <= 2**16:
+        r = modulus.bit_length() - 1
+        cutoff = 4 * (r - 1) * (r - 2)
+        return [cutoff] if cutoff + 2 <= FREE_ORDER else []
     if family.kind == "restricted":
         period = kwong_period(family.parts, 2, modulus.bit_length() - 1).period
         cutoff = period + sum(family.parts) - 1
@@ -905,8 +963,8 @@ class TestRouteCutoffs:
 
     The moduli include both sides of over's M <= 4 and of the kernel's
     (m-1)^2 + m >= 2^63 (3037000500 and 3037000501), moduli with an odd
-    factor and 2^32 and 2^61, whose class-route and tiling cut-offs lie far
-    beyond any order built here.  The plk examples put an exponent on
+    factor and 2^32 and 2^61, which take neither the expansion nor the
+    tiling.  The plk examples put an exponent on
     ``_balanced``'s tie, k - e_i or k = M/2 (mod M).
     """
 
@@ -943,8 +1001,7 @@ class TestRouteCutoffs:
             if family.kind == "restricted":
                 exact = _exact_kernel(family, order)
             else:
-                top = PLANE_ORDER if family.kind in ("plane", "ncolor") else FREE_ORDER
-                exact = _exact_kernel(family, top)[: order + 1]
+                exact = _exact_kernel(family, FREE_ORDER)[: order + 1]
             want = Series(Mod(modulus), order, exact)
             got = build_series(family, order, Mod(modulus))
             assert got == want, (order, got.first_mismatch(want))

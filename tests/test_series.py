@@ -552,7 +552,7 @@ def divide_reference(values, stride):
 
 
 class TestDivideOneMinus:
-    """The shared (1 - q^s) pass of the kernel and the class route."""
+    """The kernel's (1 - q^s) division pass, on int64 residues and wrapping words."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -571,8 +571,7 @@ class TestDivideOneMinus:
     @example(length=0, stride=1, words="int64", m=2, seed=7)
     def test_matches_loop(self, length, stride, words, m, seed):
         # int64 buffers hold residues and are reduced afterwards, as in
-        # _apply_mod; unsigned buffers wrap modulo their 2^w, as in the
-        # class route
+        # _apply_mod; unsigned buffers wrap modulo their 2^w
         top = m if words == "int64" else 1 << (8 * np.dtype(words).itemsize)
         values = random_coeffs(seed, top, length)
         buf = np.array(values, dtype=words)
