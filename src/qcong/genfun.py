@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .series import EXACT, Ring, Series, binomial_product, lazy_import
-from .series import _I64_CAP, _mul_mod, _sparse_power
+from .series import _I64_CAP, _mul_mod, _sparse_power, _wrap_words
 
 np = lazy_import("numpy")
 
@@ -175,14 +175,15 @@ def build_series(family: Family, order: int, ring: Ring = EXACT) -> Series:
 
     With e_n = ``family.exponent(n)`` and M = 2^(r-1) over Z/2^r: over, and
     plk1 with the same exponents outside Z, is ``_over_power`` with k = 1:
-    over Z/2, Z/4 and Z/8 a theta closed form, else 1/phi(-q).  Every other
+    over Z/2 to Z/64 a theta closed form, else 1/phi(-q).  Every other
     non-restricted family over Z/2 and Z/4, and plane and ncolor over Z/2^r
     where ``_expansion_route`` allows it, is read off the power sums of its
     exponents (``_expansion``).
     Otherwise oddover is phi(q) * over(q^2); plk is
     over^k * prod_{i<k} R(q^i)^(e_i - k), each exponent reduced by
     ``_balanced`` modulo M since R(x)^M = 1 (mod 2M), and a negative power of
-    over is one of phi(-q), so no plk modulo 8 needs an inverse.  plane
+    over is one of phi(-q), so no plk modulo 2^r, r <= 6, needs an inverse.
+    phi(q) * over(q^2) modulo a divisor of 2^16 is a sparse product.  plane
     and ncolor take ``_log_derivative_exact`` over Z and, reduced, modulo
     an m the kernel would run in Python integers.
     restricted over Z/2^r is tiled from one checked Kwong period that fits
@@ -255,7 +256,7 @@ def _expansion(family: Family, order: int, ring: Ring) -> Series:
     (mod 8), S = p_1 and T = p_2 (arXiv 1706.03617); modulo 2, F is 1.
     Modulo 4 only S mod 2 enters (``_divisor_sum_parity``), and modulo 8
     only S mod 2 enters S^2; it must have few ones (O(sqrt N) for plane and
-    ncolor), since the square is taken pair by pair (``_sparse_square``).
+    ncolor), since the square is taken pair by pair (``_pair_sums``).
     From r = 4 on each product E_(j-i)*p_i is one ``_mul_mod``.
     """
     m = ring.modulus
@@ -268,7 +269,7 @@ def _expansion(family: Family, order: int, ring: Ring) -> Series:
     elif m == 8:
         s, t = _power_sums(e, 2, _wrap_words(m))
         odd = np.flatnonzero(s & 1)
-        out = (s - t + _sparse_square(odd, order)).astype(np.int64)
+        out = (s - t + _pair_sums(odd, odd, order)).astype(np.int64)
         out <<= 1
     else:
         # p_1 .. p_(r-1) reduced mod m: _mul_mod sizes its FFT limbs by m
@@ -363,16 +364,17 @@ def _power_sums(e: np.ndarray, count: int, dtype) -> list:
     return sums
 
 
-def _sparse_square(ones: np.ndarray, order: int) -> np.ndarray:
-    """(sum_{p in ones} q^p)^2 truncated at ``order``, mod 256, as uint8.
+def _pair_sums(p: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
+    """#{(i, j) : p_i + q_j = N} mod 256 for N = 0..order, as uint8.
 
-    Each block of rows adds at most order + 1 pair sums, so the pairs never
-    take more memory than the series.
+    The coefficients of (sum_i q^(p_i)) * (sum_j q^(q_j)) truncated at
+    ``order``.  Each block of rows adds at most order + 1 pair sums, so the
+    pairs never take more memory than the series.
     """
     out = np.zeros(order + 1, dtype=np.uint8)
-    rows = max(1, (order + 1) // max(1, len(ones)))
-    for i in range(0, len(ones), rows):
-        sums = (ones[i : i + rows, None] + ones[None, :]).ravel()
+    rows = max(1, (order + 1) // max(1, len(q)))
+    for i in range(0, len(p), rows):
+        sums = (p[i : i + rows, None] + q[None, :]).ravel()
         out += np.bincount(sums[sums <= order], minlength=order + 1).astype(np.uint8)
     return out
 
@@ -443,47 +445,80 @@ def _balanced(e: int, half: int | None) -> int:
     return (e + half // 2) % half - half // 2
 
 
-def _wrap_words(m: int):
-    """uint8 or uint16, the narrower, when its wrapping sums are exact modulo m.
-
-    Sums of w-bit words are exact modulo 2^w, so modulo every m dividing
-    2^w; the power sums then need neither reductions nor headroom.  Any
-    other modulus raises; ``_expansion_route`` sends none here.
-    """
-    for dtype in (np.uint8, np.uint16):
-        if (1 << (8 * np.dtype(dtype).itemsize)) % m == 0:
-            return dtype
-    raise ValueError(f"no uint8 or uint16 word wraps exactly modulo {m}")
-
-
 def _over_power(k: int, order: int, ring: Ring) -> Series:
     """over^k = phi(-q)^(-k) for any integer k; the series 1 for k = 0.
 
-    Over Z/2, Z/4 and Z/8 it is a closed form: phi(-q) = 1 + 2X with
-    X = sum_{n>=1} (-1)^n q^(n^2), and X^2 = X(q^2) (mod 2), so
-    (1 + 2X)^p = 1 + 2pX + 2p(p-1)*X(q^2) (mod 8) for every integer p;
-    squares and twice squares never meet, so that is two index writes.  In
-    another modular ring a positive k powers the Newton inverse of phi(-q)
-    and a negative k powers phi(-q) itself, with no inverse.  Exact
+    Over Z/2^r, r <= 6, it is a closed form: phi(-q) = 1 + 2X with
+    X = sum_{n>=1} (-1)^n q^(n^2), so (1 + 2X)^p = sum_{j<r} C(p, j)*2^j*X^j
+    (mod 2^r) for every integer p, p = -k, and X^j is needed only modulo
+    2^(r-j).  A = X^2 has A(N) = (-1)^N * #{a, b >= 1 : a^2 + b^2 = N}
+    (Jacobi: (-1)^N * (d_1(N) - d_3(N) - [N a square])), the pair sums of
+    the squares; A = X(q^2) (mod 2), so A^2 = A(q^2) (mod 4).  Hence
+    X^3 = X*X(q^2) (mod 2), else the product A*X with X's O(sqrt N) terms;
+    X^4 = X(q^4) (mod 2) and A(q^2) (mod 4); and X^5 = X*X(q^4) (mod 2).
+    Up to Z/8 that is two index writes, X and X(q^2), with no product.
+    In another modular ring a positive k powers the Newton inverse of
+    phi(-q) and a negative k powers phi(-q) itself, with no inverse.  Exact
     coefficients come from ``_sparse_power`` over the O(sqrt N) nonzero
     terms of phi(-q), O(N^1.5) in all.
     """
     if ring.exact:
         return Series._wrap(EXACT, _sparse_power(phi_series(-1, order)._c, -k))
     m = ring.modulus
-    if m in (2, 4, 8):
-        p = -k % 4  # both coefficients depend only on p mod 4
-        out = np.zeros(order + 1, dtype=np.int64)
-        n = np.arange(1, math.isqrt(order) + 1)
-        out[n * n] = np.where(n & 1, -2 * p, 2 * p)
-        n = np.arange(1, math.isqrt(order // 2) + 1)
-        out[2 * n * n] = 2 * p * (p - 1)
-        out &= m - 1
-        out[0] = 1
-        return Series._wrap(ring, out)
-    if k > 0:
-        return phi_series(-1, order, ring).inverse_of_unit().pow(k)
-    return phi_series(-1, order, ring).pow(-k)
+    if m & (m - 1) or m > 64:
+        if k > 0:
+            return phi_series(-1, order, ring).inverse_of_unit().pow(k)
+        return phi_series(-1, order, ring).pow(-k)
+    r = m.bit_length() - 1
+    c = [1]  # C(p, j) * 2^j, j < r
+    for j in range(1, r):
+        c.append(c[-1] * 2 * (-k - j + 1) // j)
+    c = [x % m for x in c]
+    n = np.arange(1, math.isqrt(order) + 1)
+    squares = n * n
+    # uint8 words wrap modulo 256, so modulo m; up to Z/8 the index writes
+    # go straight into the int64 result
+    out = np.zeros(order + 1, dtype=np.int64 if r <= 3 else np.uint8)
+
+    def theta(s, coeff):  # coeff * X(q^s), by index writes
+        t = np.arange(1, math.isqrt(order // s) + 1)
+        out[s * t * t] += np.where(t & 1, m - coeff, coeff).astype(out.dtype)
+
+    if r > 1:
+        theta(1, c[1])
+    if r == 3:
+        theta(2, c[2])  # A = X(q^2) (mod 2)
+    if r > 3:
+        a = _theta_square(order)
+        out += c[2] * a
+        if r == 4:  # X^3 = X*X(q^2) (mod 2)
+            out += c[3] * _pair_sums(squares, 2 * squares, order)
+        else:  # X^3 = A*X modulo 2^(r-3)
+            low = m // 8 - 1
+            x = np.zeros(order + 1, dtype=np.int64)
+            x[squares] = np.where(n & 1, low, 1)
+            out += c[3] * _mul_mod(a & low, x, low + 1, order + 1).astype(np.uint8)
+        if r == 5:
+            theta(4, c[4])  # X^4 = X(q^4) (mod 2)
+        if r == 6:
+            out[::2] += c[4] * a[: order // 2 + 1]  # X^4 = A(q^2) (mod 4)
+            out += c[5] * _pair_sums(squares, 4 * squares, order)  # X^5 = X*X(q^4) (mod 2)
+    out = out.astype(np.int64, copy=False)
+    out &= m - 1
+    out[0] = 1
+    return Series._wrap(ring, out)
+
+
+def _theta_square(order: int) -> np.ndarray:
+    """A = X^2 mod 256 as uint8, X = sum_{n>=1} (-1)^n q^(n^2), truncated.
+
+    A(N) = (-1)^N * #{a, b >= 1 : a^2 + b^2 = N}, since a + b = N (mod 2):
+    the pair sums of the squares, with every odd N negated.
+    """
+    squares = np.arange(1, math.isqrt(order) + 1) ** 2
+    a = _pair_sums(squares, squares, order)
+    np.negative(a[1::2], out=a[1::2])
+    return a
 
 
 def phi_series(sign: int, order: int, ring: Ring = EXACT) -> Series:

@@ -23,6 +23,7 @@ from qcong.periodicity import kwong_period
 from qcong.series import EXACT, Mod, Series, binomial_product
 from references import (
     EXPONENTS,
+    _divisor_pairs,
     closed_form,
     jacobi_specializations,
     kernel_series,
@@ -265,30 +266,25 @@ class TestResidueExponents:
             assert -half / 2 <= got < half / 2
 
     def test_no_newton_inverse_mod_4_and_8(self, monkeypatch):
+        # every power of over over Z/2^r, r <= 6, is the theta closed form;
+        # the name is kept from when Z/16 and above took the inverse
         order = 600
         families = [Family.overpartitions(), Family.odd_overpartitions()]
         families += [Family.k_rowed(k) for k in range(1, 14)]
-        moduli = (4, 8, 16, 32)
+        moduli = (4, 8, 16, 32, 64)
         want = {
             (f, m): kernel_series(f, order, Mod(m)) for f in families for m in moduli
         }
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
         for family in families:
-            for m in (4, 8):
+            for m in moduli:
                 got = build_series(family, order, Mod(m))
                 assert got == want[family, m], (family, m)
-            # mod 16 and 32 a positive power of over is the Newton inverse,
-            # and mod 64 every one is: the pin is not vacuous
-            for m in (16, 32):
-                k = 1 if family.k is None else genfun._balanced(family.k, m // 2)
-                if k > 0:
-                    with pytest.raises(AssertionError, match="inverse_of_unit"):
-                        build_series(family, order, Mod(m))
-                else:
-                    got = build_series(family, order, Mod(m))
-                    assert got == want[family, m], (family, m)
+        # mod 12 and mod 128 over is still the Newton inverse: the pin is
+        # not vacuous
+        for m in (12, 128):
             with pytest.raises(AssertionError, match="inverse_of_unit"):
-                build_series(family, order, Mod(64))
+                build_series(Family.overpartitions(), order, Mod(m))
 
     @pytest.mark.parametrize("modulus", [2, 3, 4, 12, 2**40, 2**61 + 1])
     @pytest.mark.parametrize("sign", [1, -1])
@@ -345,9 +341,9 @@ LIFT_FAMILIES = [Family.overpartitions(), Family.odd_overpartitions()] + [
 class TestTwoAdicLift:
     """over over Z/2^r against the kernel and the Newton inverse.
 
-    Over Z/2, Z/4 and Z/8 over is the theta closed form of
-    ``genfun._over_power``; Z/16 and Z/32 build it as the Newton inverse,
-    like Z/64.
+    Over Z/2 up to Z/64 over is the theta closed form of
+    ``genfun._over_power``; Z/128 and above, and every modulus with an odd
+    factor, build it as the Newton inverse.
     """
 
     @pytest.mark.parametrize("modulus", [2, 4, 8, 16, 32])
@@ -359,22 +355,21 @@ class TestTwoAdicLift:
             got = build_series(family, order, ring)
             assert got == Series(ring, order, want._c[: order + 1]), order
 
-    @pytest.mark.parametrize("modulus", [4, 8, 16, 32])
+    @pytest.mark.parametrize("modulus", [4, 8, 16, 32, 64])
     def test_matches_newton_inverse_at_scale(self, modulus):
-        # mod 16 and 32 over is the Newton inverse itself, so those are
-        # checked against the unrolled theta product instead
+        # from mod 16 on also against the unrolled theta product
         ring = Mod(modulus)
         order = 10**5
         got = build_series(Family.overpartitions(), order, ring)
-        if modulus <= 8:
-            want = phi_series(-1, order, ring).inverse_of_unit()
-        else:
-            want = phi_product_approx(modulus.bit_length() - 1, order)
+        want = phi_series(-1, order, ring).inverse_of_unit()
         assert got == want, got.first_mismatch(want)
+        if modulus >= 16:
+            want = phi_product_approx(modulus.bit_length() - 1, order)
+            assert got == want, got.first_mismatch(want)
 
     @pytest.mark.parametrize("modulus,closed", [(2, True), (4, True), (8, True),
-                                                (16, False), (32, False), (64, False),
-                                                (12, False), (3, False)])
+                                                (16, True), (32, True), (64, True),
+                                                (128, False), (12, False), (3, False)])
     def test_route_rule(self, modulus, closed, monkeypatch):
         monkeypatch.setattr(Series, "inverse_of_unit", no_inverse)
         if closed:
@@ -408,15 +403,22 @@ def _near_squares():
 
 
 class TestOverClosedForm:
-    """over^k over Z/2, Z/4 and Z/8 as 1 + 2pX + 2p(p-1)*X(q^2), p = -k."""
+    """over^k over Z/2^r, r <= 6, as sum_{j<r} C(p, j)*(2X)^j, p = -k."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(k=st.integers(-20, 20), modulus=st.sampled_from([2, 4, 8]),
+    @settings(max_examples=240, deadline=None)
+    @given(k=st.integers(-20, 20), modulus=st.sampled_from([2, 4, 8, 16, 32, 64]),
            order=_near_squares())
     @example(k=1, modulus=8, order=2 * 30 * 30 + 1)  # over itself
     @example(k=-2, modulus=8, order=2 * 30 * 30)  # _balanced's tie in plk
     @example(k=0, modulus=8, order=900)
     @example(k=3, modulus=4, order=899)
+    @example(k=1, modulus=16, order=2 * 30 * 30 + 1)
+    @example(k=1, modulus=32, order=4 * 15 * 15)  # X^4 = X(q^4) (mod 2)
+    @example(k=1, modulus=64, order=2 * 30 * 30 - 1)
+    @example(k=-16, modulus=64, order=900)  # phi(-q)^16 = 1 (mod 64)
+    @example(k=13, modulus=64, order=255)  # A*X below _FFT_MIN_LEN
+    @example(k=13, modulus=64, order=256)
+    @example(k=-7, modulus=32, order=1)
     def test_matches_sparse_power(self, k, modulus, order):
         phi = phi_series(-1, order)._c
         want = Series(Mod(modulus), order, series_module._sparse_power(phi, -k))
@@ -440,6 +442,37 @@ class TestOverClosedForm:
         monkeypatch.undo()
         for (family, m), series in got.items():
             assert series == kernel_series(family, 600, Mod(m)), (family, m)
+
+    @pytest.mark.parametrize("modulus", [16, 32, 64])
+    def test_two_adic_over_takes_no_fft(self, monkeypatch, modulus):
+        # from Z/16 on the one series product, A*X mod 8 (mod 4 over Z/32),
+        # is term by term in wrapping words: no FFT, power or inverse
+        def broken(*args, **kwargs):
+            raise AssertionError("over mod 2^r, r <= 6, must take no FFT")
+
+        monkeypatch.setattr(series_module, "_spectral_product", broken)
+        monkeypatch.setattr(series_module, "_limb_product", broken)
+        monkeypatch.setattr(Series, "pow", broken)
+        monkeypatch.setattr(Series, "inverse_of_unit", broken)
+        got = {k: genfun._over_power(k, 5000, Mod(modulus)) for k in (-5, 1, 13)}
+        monkeypatch.undo()
+        phi = phi_series(-1, 5000)._c
+        for k, series in got.items():
+            assert series == Series(Mod(modulus), 5000, series_module._sparse_power(phi, -k))
+
+    def test_theta_square_is_jacobi(self):
+        # A = X^2 against (-1)^N * (d_1(N) - d_3(N) - [N a square]), the
+        # divisors d = 1, 3 (mod 4) counted here from every pair d*j = N
+        order = 5000
+        d, j = _divisor_pairs(order)
+        residue = np.where(d % 4 == 1, 1, np.where(d % 4 == 3, -1, 0))
+        jacobi = np.bincount(d * j, weights=residue, minlength=order + 1).astype(np.int64)
+        jacobi[np.arange(1, math.isqrt(order) + 1) ** 2] -= 1
+        jacobi[1::2] *= -1
+        assert jacobi[25] == -2 and jacobi[50] == 3  # 9+16, 16+9; 1+49, 25+25, 49+1
+        got = genfun._theta_square(order)
+        assert got.dtype == np.uint8
+        assert got.tolist() == (jacobi % 256).tolist()
 
 
 PLANE_FAMILIES = [Family.plane(), Family.ncolor()]
@@ -530,15 +563,6 @@ class TestClassRoute:
         monkeypatch.undo()
         for m, series in got.items():
             assert series == kernel_series(Family.plane(), 2000, Mod(m))
-
-    def test_words_wrap_exactly_or_raise(self):
-        assert genfun._wrap_words(2) is np.uint8
-        assert genfun._wrap_words(2**8) is np.uint8
-        assert genfun._wrap_words(2**9) is np.uint16
-        assert genfun._wrap_words(2**16) is np.uint16
-        for m in (12, 3, 2**17, 2**33, 2**61 + 1):
-            with pytest.raises(ValueError, match="wraps exactly"):
-                genfun._wrap_words(m)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
     def test_wrapped_power_sums_are_exact(self, dtype):

@@ -305,6 +305,114 @@ class TestModularProducts:
         assert a.mul(inv) == Series.one(Mod(m), order)
 
 
+def sparse_gate(length):
+    """Most nonzero terms ``_sparse_product`` takes against ``length`` words."""
+    return series_module._SPARSE_GATE * length * length.bit_length() // (length + 2**16)
+
+
+def spy_sparse_product(patch):
+    """Record, per ``_sparse_product`` call, whether it made the product."""
+    taken = []
+    product = series_module._sparse_product
+
+    def spy(*args):
+        out = product(*args)
+        taken.append(out is not None)
+        return out
+
+    patch.setattr(series_module, "_sparse_product", spy)
+    return taken
+
+
+class TestSparseProduct:
+    """Products by an operand with few nonzero terms, in wrapping words."""
+
+    def test_words_wrap_exactly_or_none(self):
+        assert series_module._wrap_words(2) is np.uint8
+        assert series_module._wrap_words(2**8) is np.uint8
+        assert series_module._wrap_words(2**9) is np.uint16
+        assert series_module._wrap_words(2**16) is np.uint16
+        for m in (12, 3, 2**17, 2**33, 2**61 + 1):
+            assert series_module._wrap_words(m) is None
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        m=st.sampled_from([2, 4, 8, 64, 256, 2**16]),
+        length=st.one_of(st.integers(250, 270), st.sampled_from([1000, 3000])),
+        cut=st.integers(0, 8),
+        offset=st.integers(-3, 3),
+        sparse_first=st.booleans(),
+        values=st.sampled_from(["one", "minus_one", "any"]),
+        seed=st.integers(0, 2**32),
+    )
+    @example(m=64, length=256, cut=0, offset=0, sparse_first=True, values="any", seed=0)
+    @example(m=64, length=256, cut=0, offset=1, sparse_first=False, values="any", seed=0)
+    @example(m=2**16, length=3000, cut=0, offset=0, sparse_first=False, values="minus_one", seed=1)
+    @example(m=2, length=255, cut=0, offset=-3, sparse_first=True, values="one", seed=2)
+    def test_matches_limb_product(self, m, length, cut, offset,
+                                  sparse_first, values, seed):
+        # nnz on both sides of the gate, where the FFT takes over
+        n = length - cut
+        rng = np.random.default_rng(seed)
+        nnz = min(n, max(0, sparse_gate(length) + offset))
+        dense = rng.integers(0, m, length, dtype=np.int64)
+        sparse = np.zeros(length, dtype=np.int64)
+        where = rng.choice(n, nnz, replace=False)
+        if values == "any":
+            sparse[where] = rng.integers(1, m, nnz)
+        else:
+            sparse[where] = 1 if values == "one" else m - 1
+        a, b = (sparse, dense) if sparse_first else (dense, sparse)
+        with pytest.MonkeyPatch.context() as patch:
+            taken = spy_sparse_product(patch)
+            got = series_module._mul_mod(a, b, m, n)
+        want = series_module._limb_product(a[:n], b[:n], m, n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        if n < series_module._FFT_MIN_LEN:
+            assert taken == []
+        else:
+            assert taken == [min(nnz, np.count_nonzero(dense[:n])) <= sparse_gate(n)]
+
+    def test_square_of_a_theta_series(self):
+        m, order = 64, 3000
+        phi = phi_series(-1, order, Mod(m))
+        want = python_product(phi.tolist(), phi.tolist(), m)
+        assert phi.mul(phi).tolist() == want
+
+    @pytest.mark.parametrize("m", [12, 2**17, 2**61 + 1])
+    def test_other_moduli_never_sparse(self, monkeypatch, m):
+        # no word wraps modulo m, so even one nonzero term takes the FFT
+        order = 1000
+        ca = random_coeffs(12, m, order + 1)
+        cb = [0] * (order + 1)
+        cb[7] = m - 1
+        taken = spy_sparse_product(monkeypatch)
+        got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
+        assert got.tolist() == python_product(ca, cb, m)
+        assert taken == [False]
+
+    def test_rounding_failure_retries_narrower_limbs(self, monkeypatch):
+        # one failed check retries at one bit narrower, with no convolution
+        m, order = 12, 600
+        ca, cb = random_coeffs(13, m, order + 1), random_coeffs(14, m, order + 1)
+        spectral = series_module._spectral_product
+        widths = []
+
+        def fail_once(sa, sb, m, w, size, n, lo=0):
+            widths.append(w)
+            return None if len(widths) == 1 else spectral(sa, sb, m, w, size, n, lo)
+
+        def broken(*args):
+            raise AssertionError("_limb_product called")
+
+        monkeypatch.setattr(series_module, "_spectral_product", fail_once)
+        monkeypatch.setattr(series_module, "_limb_product", broken)
+        got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
+        assert got.tolist() == python_product(ca, cb, m)
+        assert widths == [4, 3]
+
+
 @functools.lru_cache(maxsize=None)
 def exact_unit(kind, order):
     """Exact coefficients of a unit with constant term +/-1, and of its inverse."""
