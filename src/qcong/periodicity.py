@@ -148,6 +148,11 @@ def _strong_probable_prime(n: int) -> bool:
     return True
 
 
+def _check_guard(guard: int) -> None:
+    if guard < 3:
+        raise ValueError(f"guard must be >= 3, got {guard}")
+
+
 def empirical_period(series: Series, max_period: int, guard: int = 3) -> int | None:
     """Smallest pure period d <= max_period of the coefficients, or None.
 
@@ -157,8 +162,7 @@ def empirical_period(series: Series, max_period: int, guard: int = 3) -> int | N
     """
     if series.ring.exact:
         raise ValueError("empirical_period needs a series over a modular ring")
-    if guard < 3:
-        raise ValueError("guard must be >= 3")
+    _check_guard(guard)
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if series.order < guard * max_period:
@@ -184,8 +188,10 @@ def cross_check(parts, ell: int, power: int, guard: int = 3) -> PeriodReport:
     """Kwong report with the empirically detected period filled in.
 
     Builds the restricted-partition series mod ell^power just long enough for
-    the detector and records whether formula and detection agree.
+    the detector and records whether formula and detection agree.  A guard
+    below 3 is refused before anything is built.
     """
+    _check_guard(guard)
     report = kwong_period(parts, ell, power)
     order = guard * report.period + report.period // 2 + 8
     series = build_series(

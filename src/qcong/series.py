@@ -216,7 +216,8 @@ class Series:
         """Cauchy product truncated at the common order.
 
         Modular products are ``_mul_mod``: term by term when one operand is
-        sparse and m divides 2^16, else a float64 FFT on limbs.
+        sparse and m divides 2^16, else a float64 FFT on limbs, in two
+        half-length products when one operand is a series in q^2.
         """
         self._compat(other)
         n = self.order
@@ -319,8 +320,10 @@ class Series:
 # A product that fails the check is retried once with limbs one bit
 # narrower; shorter inputs, and products that fail twice, use exact int64
 # np.convolve on limbs narrow enough for int64.  Every FFT product is one
-# ``_spectra`` per operand and one ``_spectral_product``, so a square and
-# the Newton inverse can reuse an operand's transform.  Modulo a divisor of
+# ``_spectra`` per operand and one ``_spectral_product``, which consumes the
+# first spectrum and only reads the second, so a square, the Newton inverse
+# and the halves of a product by a series in q^2 (``_split_product``) can
+# share an operand's transform.  Modulo a divisor of
 # 2^16, an operand with few nonzero terms (a theta series has O(sqrt N))
 # is instead multiplied term by term in wrapping words
 # (``_sparse_product``).
@@ -340,6 +343,8 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
     Inputs of at least ``_FFT_MIN_LEN`` terms take ``_sparse_product``
     when it applies, else the FFT, retried once a bit narrower on a
     rounding failure; shorter inputs and a second failure convolve limbs.
+    From 2*``_FFT_MIN_LEN`` terms on, a product by a series in q^2 (no
+    nonzero odd-index coefficient) is ``_split_product``.
     """
     square = b is a
     a = a[:n]
@@ -349,15 +354,45 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: int, n: int) -> np.ndarray:
         out = _sparse_product(a, b, m, n)
         if out is not None:
             return out
-        w = _limb_width((m - 1).bit_length(), shortest, _FFT_BITS)
-        size = _fft_size(len(a) + len(b) - 1)
+        split = False
+        if not square and shortest >= 2 * _FFT_MIN_LEN:
+            if not a[1::2].any():
+                a, b = b, a  # a series in q^2 goes second
+            split = not b[1::2].any()
+        length = -(-shortest // 2) if split else shortest
+        w = _limb_width((m - 1).bit_length(), length, _FFT_BITS)
         for w in range(w, max(0, w - 2), -1):  # on a rounding failure, one bit narrower
-            sa = _spectra(a, m, w, size)
-            sb = sa if square else _spectra(b, m, w, size)
-            out = _spectral_product(sa, sb, m, w, size, n)
+            if split:
+                out = _split_product(a, b, m, w, n)
+            else:
+                size = _fft_size(len(a) + len(b) - 1)
+                sa = _spectra(a, m, w, size)
+                sb = sa if square else _spectra(b, m, w, size)
+                out = _spectral_product(sa, sb, m, w, size, n)
             if out is not None:
                 return out
     return _limb_product(a, b, m, n)
+
+
+def _split_product(a, b, m, w, n) -> np.ndarray | None:
+    """First n coefficients of a*b mod m for b in q^2, or None on a rounding failure.
+
+    With a = E(q^2) + q*O(q^2) and b = B(q^2), a*b = (E*B)(q^2) +
+    q*(O*B)(q^2): the even and the odd coefficients are two products of
+    half the length, both against one spectrum of B.
+    """
+    even, odd, half = a[::2], a[1::2], b[::2]
+    size = _fft_size(len(even) + len(half) - 1)
+    sb = _spectra(half, m, w, size)
+    parts = []
+    for part, count in ((even, (n + 1) // 2), (odd, n // 2)):
+        parts.append(_spectral_product(_spectra(part, m, w, size), sb, m, w, size, count))
+        if parts[-1] is None:
+            return None
+    del sb  # freed before the result is allocated
+    out = np.empty(n, dtype=np.int64)
+    out[::2], out[1::2] = parts
+    return out
 
 
 def _wrap_words(m: int):
@@ -443,9 +478,21 @@ def _spectral_product(sa, sb, m, w, size, n, lo=0) -> np.ndarray | None:
     ``sa`` and ``sb`` are the ``_spectra`` of a and b at ``size``, so the
     product is cyclic: a coefficient of index i >= size lands on i - size.
     The product fails if any value used rounds with an error of 1/4 or more.
+    A one-limb product consumes ``sa``: it multiplies into that spectrum
+    (a square passes one list as both) and drops it from the list before
+    rounding the inverse transform straight into the result.
     """
     from numpy.fft import irfft
 
+    if len(sa) == 1:
+        second = sb[0]
+        spectrum = sa.pop()
+        x = irfft(np.multiply(spectrum, second, out=spectrum), size)[lo : lo + n]
+        del spectrum, second
+        out = np.zeros(n, dtype=np.int64)
+        c = out[: len(x)]
+        np.rint(x, out=c, casting="unsafe")
+        return _reduce(out, m, out=out) if _rounds(x, c) else None
     out = np.zeros(n, dtype=np.int64)
     for s, (first, *rest) in _limb_shifts(len(sa)):
         spectrum = sa[first] * sb[s - first]
@@ -454,11 +501,16 @@ def _spectral_product(sa, sb, m, w, size, n, lo=0) -> np.ndarray | None:
         x = irfft(spectrum, size)[lo : lo + n]
         del spectrum
         c = np.rint(x)
-        x -= c
-        if np.abs(x, out=x).max() >= 0.25:
+        if not _rounds(x, c):
             return None
         _horner_step(out, c.astype(np.int64), w, m, s == 2 * len(sa) - 2)
     return out
+
+
+def _rounds(x, c) -> bool:
+    """Whether every value of x lies within 1/4 of c, its rounding; spends x."""
+    np.subtract(x, c, out=x)
+    return np.abs(x, out=x).max() < 0.25
 
 
 def _limb_shifts(k: int):

@@ -343,6 +343,13 @@ class TestPeriod:
         assert "empirical_period: 280" in out
         assert "agreement: True" in out
 
+    @pytest.mark.parametrize("guard", ["-5", "0"])
+    def test_small_guard_is_one_error_line(self, capsys, guard):
+        code, out, err = run(capsys, "period", "--parts", "1,2", "--prime", "2",
+                             "--power", "2", "--empirical", "--guard", guard)
+        assert code == 1 and out == ""
+        assert err == f"error: guard must be >= 3, got {guard}\n"
+
     def test_bad_prime(self, capsys):
         code, _, err = run(
             capsys, "period", "--parts", "3,4", "--prime", "6", "--power", "1"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcong import periodicity
 from qcong.genfun import Family, build_series
 from qcong.periodicity import (
     InsufficientOrder,
@@ -252,6 +253,16 @@ class TestCrossCheck:
         assert report.period == 4
         assert report.empirical_period == 2
         assert report.agreement is False
+
+    @pytest.mark.parametrize("guard", [-5, 0, 2])
+    def test_small_guard_is_refused_before_a_build(self, monkeypatch, guard):
+        # the guard sets the order of the build, so it is checked first
+        def built(*args, **kwargs):
+            raise AssertionError("build_series called")
+
+        monkeypatch.setattr(periodicity, "build_series", built)
+        with pytest.raises(ValueError, match=rf"^guard must be >= 3, got {guard}$"):
+            cross_check([1, 2], 2, 2, guard=guard)
 
     def test_report_json_round_trip(self):
         report = cross_check([5, 7], 2, 3)

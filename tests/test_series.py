@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,17 +311,17 @@ def sparse_gate(length):
     return series_module._SPARSE_GATE * length * length.bit_length() // (length + 2**16)
 
 
-def spy_sparse_product(patch):
-    """Record, per ``_sparse_product`` call, whether it made the product."""
+def spy_product(patch, name):
+    """Record, per call of the product ``name``, whether it made the product."""
     taken = []
-    product = series_module._sparse_product
+    product = getattr(series_module, name)
 
     def spy(*args):
         out = product(*args)
         taken.append(out is not None)
         return out
 
-    patch.setattr(series_module, "_sparse_product", spy)
+    patch.setattr(series_module, name, spy)
     return taken
 
 
@@ -364,7 +365,7 @@ class TestSparseProduct:
             sparse[where] = 1 if values == "one" else m - 1
         a, b = (sparse, dense) if sparse_first else (dense, sparse)
         with pytest.MonkeyPatch.context() as patch:
-            taken = spy_sparse_product(patch)
+            taken = spy_product(patch, "_sparse_product")
             got = series_module._mul_mod(a, b, m, n)
         want = series_module._limb_product(a[:n], b[:n], m, n)
         assert got.dtype == np.int64
@@ -387,7 +388,7 @@ class TestSparseProduct:
         ca = random_coeffs(12, m, order + 1)
         cb = [0] * (order + 1)
         cb[7] = m - 1
-        taken = spy_sparse_product(monkeypatch)
+        taken = spy_product(monkeypatch, "_sparse_product")
         got = Series(Mod(m), order, ca).mul(Series(Mod(m), order, cb))
         assert got.tolist() == python_product(ca, cb, m)
         assert taken == [False]
@@ -489,6 +490,165 @@ class TestNewtonMiddleProduct:
         assert {lo for lo, ok in spectral if lo} == {256, 512}
         assert not any(ok for _, ok in spectral)
         assert len(convolved) == 2 * (order + 1).bit_length()
+
+
+SPLIT_MODULI = [4, 3, 12, 2**32, 2**61 + 1]
+SPLIT_MIN = 2 * series_module._FFT_MIN_LEN
+
+
+def q2_operand(rng, m, length, stray=False):
+    """Random residues at the even indices; with ``stray``, at one odd index too."""
+    x = np.zeros(length, dtype=np.int64)
+    x[::2] = rng.integers(0, m, len(x[::2]), dtype=np.int64)
+    if stray:
+        x[rng.choice(np.arange(1, length, 2))] = rng.integers(1, m)
+    return x
+
+
+class TestSplitProduct:
+    """Products by a series in q^2, as two half-length products on one spectrum."""
+
+    @pytest.mark.parametrize("stray", [False, True], ids=["q2", "stray"])
+    @pytest.mark.parametrize("q2_first", [False, True], ids=["second", "first"])
+    @pytest.mark.parametrize("length", range(SPLIT_MIN - 2, SPLIT_MIN + 3))
+    @pytest.mark.parametrize("m", SPLIT_MODULI)
+    def test_matches_limb_and_exact_product(self, monkeypatch, m, length,
+                                            q2_first, stray):
+        rng = np.random.default_rng(length + 2 * q2_first + 4 * stray)
+        dense = rng.integers(0, m, length, dtype=np.int64)
+        q2 = q2_operand(rng, m, length, stray)
+        a, b = (q2, dense) if q2_first else (dense, q2)
+        taken = spy_product(monkeypatch, "_split_product")
+        got = series_module._mul_mod(a, b, m, length)
+        assert got.dtype == np.int64
+        assert got.tolist() == series_module._limb_product(a, b, m, length).tolist()
+        assert got.tolist() == python_product(a.tolist(), b.tolist(), m)
+        # one nonzero odd-index coefficient keeps the full-length product
+        assert taken == ([True] if length >= SPLIT_MIN and not stray else [])
+
+    @pytest.mark.parametrize("m", [12, 2**61 + 1])
+    def test_truncated_product(self, m):
+        # n below the operands' length, odd and even
+        rng = np.random.default_rng(m % 1000)
+        a, b = rng.integers(0, m, 1200, dtype=np.int64), q2_operand(rng, m, 1200)
+        for n in (SPLIT_MIN, SPLIT_MIN + 1, 1001, 1199):
+            want = python_product(a[:n].tolist(), b[:n].tolist(), m)
+            assert series_module._mul_mod(b, a, m, n).tolist() == want
+
+    def test_rounding_failure_retries_narrower_limbs(self, monkeypatch):
+        # the even half fails once; both halves are retried one bit narrower
+        m, length = 12, 600
+        rng = np.random.default_rng(15)
+        a, b = rng.integers(0, m, length, dtype=np.int64), q2_operand(rng, m, length)
+        spectral = series_module._spectral_product
+        widths = []
+
+        def fail_once(sa, sb, m, w, size, n, lo=0):
+            widths.append(w)
+            return None if len(widths) == 1 else spectral(sa, sb, m, w, size, n, lo)
+
+        def broken(*args):
+            raise AssertionError("_limb_product called")
+
+        monkeypatch.setattr(series_module, "_spectral_product", fail_once)
+        monkeypatch.setattr(series_module, "_limb_product", broken)
+        got = series_module._mul_mod(a, b, m, length)
+        assert got.tolist() == python_product(a.tolist(), b.tolist(), m)
+        assert widths == [4, 3, 3]
+
+    @pytest.mark.parametrize("m", [12, 2**61 + 1])
+    def test_rounding_failures_fall_back_to_convolution(self, monkeypatch, m):
+        length = 700
+        rng = np.random.default_rng(16)
+        a, b = rng.integers(0, m, length, dtype=np.int64), q2_operand(rng, m, length)
+        monkeypatch.setattr(series_module, "_spectral_product", lambda *args: None)
+        convolved = spy_product(monkeypatch, "_limb_product")
+        got = series_module._mul_mod(a, b, m, length)
+        assert got.tolist() == python_product(a.tolist(), b.tolist(), m)
+        assert convolved == [True]
+
+
+class TestSpectralProduct:
+    """A one-limb product consumes its first spectrum and no other."""
+
+    M, N = 64, 300
+
+    def spectra(self, *xs):
+        size = series_module._fft_size(2 * self.N - 1)
+        return size, [series_module._spectra(x, self.M, 6, size) for x in xs]
+
+    def test_consumes_the_first_spectrum(self):
+        rng = np.random.default_rng(17)
+        a, b = (rng.integers(0, self.M, self.N, dtype=np.int64) for _ in range(2))
+        size, (sa, sb) = self.spectra(a, b)
+        kept = sb[0].copy()
+        got = series_module._spectral_product(sa, sb, self.M, 6, size, self.N)
+        assert sa == [] and len(sb) == 1 and np.array_equal(sb[0], kept)
+        assert got.tolist() == python_product(a.tolist(), b.tolist(), self.M)
+
+    @pytest.mark.parametrize("error, exact", [(0.2, True), (0.3, False)])
+    def test_rounding_check(self, monkeypatch, error, exact):
+        # an error of 1/4 or more in any rounded value fails the product
+        rng = np.random.default_rng(19)
+        a, b = (rng.integers(0, self.M, self.N, dtype=np.int64) for _ in range(2))
+        size, (sa, sb) = self.spectra(a, b)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *x, **kw: irfft(*x, **kw) + error)
+        got = series_module._spectral_product(sa, sb, self.M, 6, size, self.N)
+        if exact:
+            assert got.tolist() == python_product(a.tolist(), b.tolist(), self.M)
+        else:
+            assert got is None
+
+    def test_square_passes_one_list(self):
+        a = np.random.default_rng(18).integers(0, self.M, self.N, dtype=np.int64)
+        size, (sa,) = self.spectra(a)
+        got = series_module._spectral_product(sa, sa, self.M, 6, size, self.N)
+        assert got.tolist() == python_product(a.tolist(), a.tolist(), self.M)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes traced by tracemalloc during ``run()``, after one warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """Peak traced bytes of one product or inverse, in units of the series' bytes.
+
+    Measured at order 2*10^5 mod 12: 6.2 (product), 3.6 (product by a
+    series in q^2) and 4.4 (inverse).  A product that allocates a new
+    spectrum and takes no split reads 9.2, 9.2 and 5.8, above each bound.
+    """
+
+    ORDER, M = 2 * 10**5, 12
+
+    def operands(self):
+        rng = np.random.default_rng(19)
+        dense = (rng.integers(0, self.M, self.ORDER + 1) for _ in range(2))
+        return [Series(Mod(self.M), self.ORDER, c) for c in dense]
+
+    def test_product(self):
+        a, b = self.operands()
+        assert traced_peak(lambda: a.mul(b)) < 7 * a._c.nbytes
+
+    def test_product_by_a_series_in_q2(self):
+        a, _ = self.operands()
+        q2 = q2_operand(np.random.default_rng(20), self.M, self.ORDER + 1)
+        b = Series(Mod(self.M), self.ORDER, q2)
+        assert traced_peak(lambda: a.mul(b)) < 4 * a._c.nbytes
+
+    def test_inverse(self):
+        a, _ = self.operands()
+        unit = a._c.copy()
+        unit[0] = 1
+        u = Series(Mod(self.M), self.ORDER, unit)
+        assert traced_peak(u.inverse_of_unit) < 5 * a._c.nbytes
 
 
 class TestToList:
